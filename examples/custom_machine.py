@@ -6,13 +6,15 @@ multithreaded machine built from commodity parts: "In particular, the
 memory system will not be as flat as in the MTA-2.  We will reconduct
 our studies on this architecture as soon as it is available."
 
-This example *registers that hypothetical machine as a backend*: one
-``register()`` call puts ``mta-next`` alongside the five built-ins, so
-the same declarative workloads, the sweep runner, and ``repro run
---backend mta-next`` all reach it with no further wiring.  The study
+This example *registers an analytic model of that hypothetical machine
+as a backend*: one ``register()`` call puts ``mta-next-model`` alongside
+the built-ins, so the same declarative workloads, the sweep runner, and
+``repro run --backend mta-next-model`` all reach it with no further
+wiring.  (``mta-next`` names one machine: its cycle-level engine is the
+built-in ``mta-next-engine``, :mod:`repro.sim.mta_next`.)  The study
 itself is then a parameter sweep over backend options —
 
-* ``mta-next`` variants with *higher memory latency* (a less-flat
+* ``mta-next-model`` variants with *higher memory latency* (a less-flat
   commodity memory system) and with *fewer hardware streams*;
 * the stock ``smp-model`` with an L3-class cache, resized through a
   nested config override;
@@ -37,8 +39,8 @@ P = 8
 SEED = 0
 
 
-def make_mta_next(*, config=None, config_name=None):
-    """Factory for the hypothetical third-generation machine.
+def make_mta_next_model(*, config=None, config_name=None):
+    """Factory for the analytic model of the third-generation machine.
 
     Starts from the MTA-2 and lets every job override the parameters
     the commodity redesign would change (latency, stream budget).
@@ -46,7 +48,7 @@ def make_mta_next(*, config=None, config_name=None):
     from repro.core import MTAMachine
 
     return AnalyticBackend(
-        "mta-next",
+        "mta-next-model",
         "Hypothetical commodity-parts Cray (MTA-2 derivative)",
         MTAMachine,
         {"rank": "mta-walks", "cc": "sv-mta"},
@@ -57,12 +59,12 @@ def make_mta_next(*, config=None, config_name=None):
 
 
 # One call makes the machine a first-class citizen: `repro backends`
-# lists it, `repro run --backend mta-next` reaches it, and the sweep
+# lists it, `repro run --backend mta-next-model` reaches it, and the sweep
 # runner caches its results like any built-in.  replace=True keeps the
 # example re-runnable inside one process.
 register(
-    "mta-next",
-    make_mta_next,
+    "mta-next-model",
+    make_mta_next_model,
     level="model",
     kinds=("rank", "cc", "bfs", "msf", "tree"),
     description="Hypothetical commodity-parts Cray (MTA-2 derivative)",
@@ -77,7 +79,7 @@ def mta_latency_sweep() -> None:
     jobs = [
         Job(
             Workload("rank", P, SEED, {"n": N, "list": "random"}),
-            "mta-next",
+            "mta-next-model",
             backend_options={
                 "config": {"name": f"MTA-lat{lat}", "mem_latency_cycles": float(lat)}
             },
@@ -101,7 +103,7 @@ def mta_streams_sweep() -> None:
     jobs = [
         Job(
             Workload("cc", P, 2, {"graph": "random", "n": 1 << 16, "m": 8 << 16}),
-            "mta-next",
+            "mta-next-model",
             backend_options={
                 "config": {"name": f"MTA-s{streams}", "streams_per_proc": streams}
             },

@@ -1,10 +1,10 @@
 """Backend registry: one interface over every execution stack.
 
-The five built-in backends (three analytic machine models, two
-cycle-level engines) are registered at import; ``repro backends``
-lists them and :func:`create` instantiates by name.  Third-party
-machines register the same way — see ``examples/custom_machine.py``
-and ``docs/BACKENDS.md``.
+The built-in backends (three analytic machine models, three
+cycle-level engines and the model-vs-engine ``cost-xval``) are
+registered at import; ``repro backends`` lists them and :func:`create`
+instantiates by name.  Third-party machines register the same way —
+see ``examples/custom_machine.py`` and ``docs/BACKENDS.md``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ __all__ = [
 
 
 def _register_builtins() -> None:
-    # Importing repro.sim may itself re-enter this package (machine
-    # registration auto-registers backends), so it happens first and
-    # everything below tolerates either import order.
     from ..sim.hooks import HOOK_EVENTS
-    from ..sim.machines import ensure_builtin_machines
     from .analytic import make_cluster_model, make_mta_model, make_smp_model
-    from .engine import make_mta_engine, make_smp_engine
+    from .engine import (
+        MTA_NEXT_DESCRIPTION,
+        make_mta_engine,
+        make_mta_next_engine,
+        make_smp_engine,
+    )
     from .xval import make_cost_xval
 
     register(
@@ -87,6 +88,18 @@ def _register_builtins() -> None:
         xval=True,
     )
     register(
+        "mta-next-engine",
+        make_mta_next_engine,
+        level="engine",
+        kinds=("rank", "cc", "chase"),
+        description=MTA_NEXT_DESCRIPTION,
+        machine="mta-next",
+        hooks=HOOK_EVENTS,
+        tiers=("interpreted",),
+        checkpoint=True,
+        shardable=True,
+    )
+    register(
         "cost-xval",
         make_cost_xval,
         level="xval",
@@ -94,9 +107,6 @@ def _register_builtins() -> None:
         description="Model-vs-engine per-phase divergence (repro.xval)",
         xval=True,
     )
-    # Register the built-in machine models (and, through the machine
-    # registry's auto-registration, the mta-next engine backend).
-    ensure_builtin_machines()
 
 
 _register_builtins()

@@ -18,9 +18,10 @@ plumbing behind two calls:
     (iterations, cost triplet, algorithm stats) land in
     ``summary.detail``.
 
-A :class:`Workload` is declarative and JSON-serializable, so the sweep
-runner (:mod:`repro.core.runner`) can hash it for the on-disk result
-cache and ship it to worker processes.  Concrete backends live in
+A :class:`Workload` (defined in :mod:`repro.core.workload`, re-exported
+here) is declarative and JSON-serializable, so the sweep runner
+(:mod:`repro.core.runner`) can hash it for the on-disk result cache and
+ship it to worker processes.  Concrete backends live in
 :mod:`repro.backends.analytic` and :mod:`repro.backends.engine`; the
 name-based registry is :mod:`repro.backends.registry`.
 """
@@ -28,97 +29,13 @@ name-based registry is :mod:`repro.backends.registry`.
 from __future__ import annotations
 
 import abc
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
+from ..core.workload import Workload, canonical_json
 from ..errors import ConfigurationError
 
 __all__ = ["Workload", "RunHandle", "Backend", "canonical_json"]
-
-
-def _jsonable(value):
-    """Coerce numpy scalars / tuples to plain JSON types, recursively."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if not isinstance(value, (str, bytes)):
-        if hasattr(value, "tolist"):  # numpy arrays and scalars
-            return _jsonable(value.tolist())
-        if hasattr(value, "item"):
-            try:
-                return value.item()
-            except (AttributeError, ValueError):
-                pass
-    return value
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON for hashing: sorted keys, no whitespace."""
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class Workload:
-    """One declarative unit of work: a kernel on an input at a scale.
-
-    Attributes
-    ----------
-    kind:
-        Kernel family: ``"rank"`` (list ranking), ``"cc"`` (connected
-        components), ``"bfs"``, ``"msf"``, ``"tree"`` (expression
-        evaluation by contraction), or ``"chase"`` (the latency-hiding
-        microbenchmark).
-    p:
-        Simulated processor count.
-    seed:
-        Seed for input generation and any randomized kernel choices.
-        The sweep runner derives this deterministically from the spec
-        seed and the grid point, so results never depend on worker
-        count or completion order.
-    params:
-        Input description, e.g. ``{"n": 65536, "list": "random"}`` or
-        ``{"graph": "random", "n": 4096, "m": 32768}``.
-    options:
-        Kernel/backend knobs, e.g. ``{"algorithm": "helman-jaja"}``,
-        ``{"streams_per_proc": 64, "dynamic": False}``.  Everything
-        here must be JSON-serializable.
-    """
-
-    kind: str
-    p: int = 1
-    seed: int = 0
-    params: Mapping[str, Any] = field(default_factory=dict)
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def canonical(self) -> dict:
-        """JSON-ready dict, the hashing and pickling form."""
-        return {
-            "kind": self.kind,
-            "p": int(self.p),
-            "seed": int(self.seed),
-            "params": _jsonable(dict(self.params)),
-            "options": _jsonable(dict(self.options)),
-        }
-
-    def digest(self) -> str:
-        """Content hash of this workload description."""
-        return hashlib.sha256(canonical_json(self.canonical()).encode()).hexdigest()
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Workload":
-        return cls(
-            kind=d["kind"],
-            p=int(d.get("p", 1)),
-            seed=int(d.get("seed", 0)),
-            params=dict(d.get("params", {})),
-            options=dict(d.get("options", {})),
-        )
-
-    def option(self, key: str, default=None):
-        return self.options.get(key, default)
 
 
 @dataclass

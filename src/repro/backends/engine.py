@@ -72,6 +72,7 @@ __all__ = [
     "ModelEngineBackend",
     "make_smp_engine",
     "make_mta_engine",
+    "make_mta_next_engine",
 ]
 
 
@@ -210,8 +211,6 @@ class MTAEngineBackend(Backend):
 
     def _execute_sharded(self, handle: RunHandle, shard: dict):
         """Run ``cc`` or ``chase`` on the sharded runtime (shards > 1)."""
-        from ..sim import MTAEngine
-
         workload = handle.workload
         opt = workload.options
         if workload.kind == "rank":
@@ -221,78 +220,64 @@ class MTAEngineBackend(Backend):
                 " engine-owned state: cc and chase"
             )
         tier = _resolve_tier(workload, None)
-        engine = self.engine_factory or MTAEngine
+        base = getattr(self.engine_factory, "machine_class", None)
         if workload.kind == "chase":
-            return self._execute_chase_sharded(handle, shard, engine, tier)
-        if workload.option("checkpoint"):
-            raise ConfigurationError(
-                "sharded cc runs re-seed their partitions every"
-                " graft/shortcut phase, so there is no single resumable"
-                " cycle stream; checkpointing applies to single-phase"
-                " sharded runs (chase) or to unsharded runs"
+            from ..obs.summary import RunSummary
+            from ..sim.shard import PartitionPlan, run_sharded
+
+            checkpoint, resume = _shard_checkpoint(workload, self.name)
+            res = run_sharded(
+                PartitionPlan(1 << 20, workload.p, shard["shards"]),
+                workers=shard["workers"],
+                executor=shard["executor"],
+                builder=_chase_builder,
+                builder_args=(int(handle.meta.get("chasers", 1)),
+                              int(opt.get("steps", 40)), workload.p),
+                base=base,
+                params=_chase_params(opt),
+                remote_latency=shard["remote_latency"],
+                name="chase",
+                budget=200_000_000,
+                tier=tier,
+                checkpoint=checkpoint,
+                resume=resume,
             )
-        from ..graphs.shard_programs import simulate_sharded_cc
+            summary = RunSummary.from_report(res.report, machine=self.name)
+            summary.name = "chase"
+            shard_detail = res.detail
+        else:
+            if workload.option("checkpoint"):
+                raise ConfigurationError(
+                    "sharded cc runs re-seed their partitions every"
+                    " graft/shortcut phase, so there is no single resumable"
+                    " cycle stream; checkpointing applies to single-phase"
+                    " sharded runs (chase) or to unsharded runs"
+                )
+            from ..graphs.shard_programs import simulate_sharded_cc
 
-        params = dict(opt.get("engine_kwargs") or {})
-        params.pop("tier", None)
-        sim = simulate_sharded_cc(
-            handle.data,
-            p=workload.p,
-            shards=shard["shards"],
-            workers=shard["workers"],
-            executor=shard["executor"],
-            remote_latency=shard["remote_latency"],
-            streams_per_proc=int(opt.get("streams_per_proc", 100)),
-            edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
-            max_iter=int(opt.get("max_iter", 64)),
-            params=params,
-            base=getattr(engine, "machine_class", None),
-            tier=tier,
-        )
-        summary = sim.summary
-        summary.detail.update(handle.meta)
-        summary.detail["backend"] = self.name
-        summary.detail["iterations"] = int(sim.iterations)
-        summary.detail["shards"] = shard["shards"]
-        summary.detail["shard"] = sim.shard_detail
-        return summary
-
-    def _execute_chase_sharded(self, handle: RunHandle, shard, engine, tier):
-        from ..obs.summary import RunSummary
-        from ..sim import isa
-
-        workload = handle.workload
-        opt = workload.options
-        chasers = int(handle.meta.get("chasers", 1))
-        steps = int(opt.get("steps", 40))
-
-        def _chaser():
-            for i in range(steps):
-                yield isa.compute(1)
-                yield isa.load_dep(i)
-                yield isa.load_dep(100_000 + i)
-
-        eng = engine(
-            p=workload.p,
-            streams_per_proc=int(opt.get("streams_per_proc", 128)),
-            mem_latency=int(opt.get("mem_latency", 100)),
-            lookahead=int(opt.get("lookahead", 2)),
-            tier=tier,
-            shards=shard["shards"],
-            shard_workers=shard["workers"],
-            shard_executor=shard["executor"],
-            remote_latency=shard["remote_latency"],
-        )
-        for _ in range(chasers):
-            eng.spawn(_chaser())
-        checkpoint, resume = _shard_checkpoint(workload, self.name)
-        report = eng.run(name="chase", checkpoint=checkpoint, resume=resume)
-        summary = RunSummary.from_report(report, machine=self.name)
-        summary.name = "chase"
+            params = dict(opt.get("engine_kwargs") or {})
+            params.pop("tier", None)
+            sim = simulate_sharded_cc(
+                handle.data,
+                p=workload.p,
+                shards=shard["shards"],
+                workers=shard["workers"],
+                executor=shard["executor"],
+                remote_latency=shard["remote_latency"],
+                streams_per_proc=int(opt.get("streams_per_proc", 100)),
+                edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
+                max_iter=int(opt.get("max_iter", 64)),
+                params=params,
+                base=base,
+                tier=tier,
+            )
+            summary = sim.summary
+            summary.detail["iterations"] = int(sim.iterations)
+            shard_detail = sim.shard_detail
         summary.detail.update(handle.meta)
         summary.detail["backend"] = self.name
         summary.detail["shards"] = shard["shards"]
-        summary.detail["shard"] = eng.shard_detail
+        summary.detail["shard"] = shard_detail
         return summary
 
     def _execute_chase(self, handle: RunHandle, check=None, attach_summary=False):
@@ -300,32 +285,22 @@ class MTAEngineBackend(Backend):
         streams each alternating one compute with two dependent loads —
         the access pattern of a list walk."""
         from ..obs.summary import RunSummary
-        from ..sim import MTAEngine, isa
+        from ..sim import MTAEngine
 
         workload = handle.workload
         opt = workload.options
-        chasers = int(handle.meta.get("chasers", 1))
         steps = int(opt.get("steps", 40))
-
-        def _chaser():
-            for i in range(steps):
-                yield isa.compute(1)
-                yield isa.load_dep(i)
-                yield isa.load_dep(100_000 + i)
-
         engine = self.engine_factory or MTAEngine
         session = _resolve_session(workload, self.name, check)
         eng = engine(
             p=workload.p,
-            streams_per_proc=int(opt.get("streams_per_proc", 128)),
-            mem_latency=int(opt.get("mem_latency", 100)),
-            lookahead=int(opt.get("lookahead", 2)),
             check=check,
             tier=_resolve_tier(workload, check),
             session=session,
+            **_chase_params(opt),
         )
-        for _ in range(chasers):
-            eng.spawn(_chaser())
+        for _ in range(int(handle.meta.get("chasers", 1))):
+            eng.spawn(_chaser(steps))
         report = eng.run(name="chase")
         _note_resume(session)
         summary = RunSummary.from_report(report, machine=self.name)
@@ -337,15 +312,42 @@ class MTAEngineBackend(Backend):
         return summary
 
 
-class ModelEngineBackend(MTAEngineBackend):
-    """Engine backend synthesized from a registered machine model.
+def _chase_params(opt) -> dict:
+    """Machine parameters of the ``chase`` saturation curve."""
+    return {
+        "streams_per_proc": int(opt.get("streams_per_proc", 128)),
+        "mem_latency": int(opt.get("mem_latency", 100)),
+        "lookahead": int(opt.get("lookahead", 2)),
+    }
 
-    :func:`repro.sim.machines.register_machine` builds one of these for
-    every machine that opts into backend auto-registration: the same
-    MTA thread programs (``rank``, ``cc``, ``chase``) run unmodified,
-    constructing the machine's engine facade instead of the stock
+
+def _chaser(steps: int):
+    """One chase stream: a compute then two dependent loads per step."""
+    from ..sim import isa
+
+    for i in range(steps):
+        yield isa.compute(1)
+        yield isa.load_dep(i)
+        yield isa.load_dep(100_000 + i)
+
+
+def _chase_builder(ctx, chasers: int, steps: int, p: int) -> None:
+    """Shard builder for ``chase``: round-robin placement, like an
+    unsharded engine's ``spawn``."""
+    for t in range(chasers):
+        ctx.spawn(_chaser(steps), t % p)
+
+
+class ModelEngineBackend(MTAEngineBackend):
+    """Engine backend for another interleaved machine.
+
+    The same MTA thread programs (``rank``, ``cc``, ``chase``) run
+    unmodified, constructing ``engine_factory`` instead of the stock
     :class:`~repro.sim.MTAEngine`.  The facade must therefore be
-    MTAEngine-compatible (interleaved scheduling, ``spawn``/``run``).
+    MTAEngine-compatible (interleaved scheduling, ``spawn``/``run``);
+    sharded runs use its ``machine_class``.  Registering a machine is
+    one :func:`repro.backends.register` call whose factory returns one
+    of these — ``mta-next-engine`` is the in-tree example.
     """
 
     def __init__(self, *, name, engine_factory, description=""):
@@ -357,7 +359,8 @@ class ModelEngineBackend(MTAEngineBackend):
 def _resolve_shards(workload):
     """Normalized shard options (None when the run is unsharded)."""
     opt = workload.options
-    shards = int(opt.get("shards") or 1)
+    shards = opt.get("shards")
+    shards = 1 if shards is None else int(shards)
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if shards == 1:
@@ -377,6 +380,24 @@ def _resolve_shards(workload):
     }
 
 
+def _job_key(workload, backend_name: str, spec: dict) -> str:
+    """The checkpoint owner's identity: the spec's ``key``, else a hash
+    of the workload (minus its ``checkpoint`` option) and backend."""
+    if spec.get("key"):
+        return spec["key"]
+    import hashlib
+
+    from .base import canonical_json
+
+    canon = workload.canonical()
+    canon["options"] = {
+        k: v for k, v in canon["options"].items() if k != "checkpoint"
+    }
+    return hashlib.sha256(
+        canonical_json({"workload": canon, "backend": backend_name}).encode()
+    ).hexdigest()
+
+
 def _shard_checkpoint(workload, backend_name: str):
     """Translate the ``checkpoint`` option into a coordinator spec.
 
@@ -389,22 +410,10 @@ def _shard_checkpoint(workload, backend_name: str):
     spec = workload.option("checkpoint")
     if not spec:
         return None, None
-    import hashlib
-
     from ..sim.checkpoint import CheckpointStore
 
     spec = dict(spec)
-    key = spec.get("key")
-    if not key:
-        from .base import canonical_json
-
-        canon = workload.canonical()
-        canon["options"] = {
-            k: v for k, v in canon["options"].items() if k != "checkpoint"
-        }
-        key = hashlib.sha256(
-            canonical_json({"workload": canon, "backend": backend_name}).encode()
-        ).hexdigest()
+    key = _job_key(workload, backend_name, spec)
     ckpt_dir = CheckpointStore(spec.get("dir")).root / f"shard-{key[:16]}"
     checkpoint = None
     if spec.get("every"):
@@ -438,7 +447,6 @@ def _resolve_session(workload, backend_name: str, check=None):
             " replayed runs re-execute without per-op hook events, so a"
             " checker would see a partial stream"
         )
-    import hashlib
     import sys
 
     from ..errors import CheckpointError
@@ -446,17 +454,7 @@ def _resolve_session(workload, backend_name: str, check=None):
 
     spec = dict(spec)
     store = CheckpointStore(spec.get("dir"))
-    key = spec.get("key")
-    if not key:
-        from .base import canonical_json
-
-        canon = workload.canonical()
-        canon["options"] = {
-            k: v for k, v in canon["options"].items() if k != "checkpoint"
-        }
-        key = hashlib.sha256(
-            canonical_json({"workload": canon, "backend": backend_name}).encode()
-        ).hexdigest()
+    key = _job_key(workload, backend_name, spec)
     resume = None
     ref = spec.get("resume")
     if ref:
@@ -537,3 +535,18 @@ def make_smp_engine(*, config=None):
 
 def make_mta_engine():
     return MTAEngineBackend()
+
+
+MTA_NEXT_DESCRIPTION = (
+    "Hypothetical commodity-parts Cray: banked high-latency memory, 64 streams"
+)
+
+
+def make_mta_next_engine():
+    from ..sim.mta_next import MTANextEngine
+
+    return ModelEngineBackend(
+        name="mta-next-engine",
+        engine_factory=MTANextEngine,
+        description=MTA_NEXT_DESCRIPTION,
+    )

@@ -21,8 +21,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
+from ..core.workload import _jsonable
 from ..errors import ConfigurationError
-from .base import Workload, _jsonable, canonical_json
+from .base import Workload, canonical_json
 
 __all__ = ["instrument", "algorithms_for", "extras_from_run", "clear_run_memo"]
 

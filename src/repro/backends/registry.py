@@ -27,8 +27,7 @@ class _Entry:
     level: str
     kinds: tuple
     description: str
-    #: Machine model behind the backend ("" for analytic models; see
-    #: repro.sim.machines for the machine registry itself).
+    #: Machine model behind the backend ("" for analytic models).
     machine: str = ""
     #: HookBus events the backend's execution path can deliver
     #: (empty for analytic models, which run no instruction streams).

@@ -37,7 +37,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..backends.base import canonical_json
+from .workload import canonical_json
 
 __all__ = ["SweepCache", "code_version", "default_cache_root"]
 

@@ -29,9 +29,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..backends.base import Workload, canonical_json
 from ..errors import ConfigurationError, ReproError
 from .cache import SweepCache
+from .workload import Workload, canonical_json
 
 __all__ = [
     "Job",
@@ -180,7 +180,6 @@ def _execute_payload(payload: dict) -> dict:
     """
     from .. import backends  # noqa: F401  (registers the built-in backends)
     from ..backends import create
-    from ..backends.base import Workload as _W
     from ..errors import RunPaused
 
     wl_dict = payload["workload"]
@@ -191,7 +190,7 @@ def _execute_payload(payload: dict) -> dict:
         options["checkpoint"] = dict(options["checkpoint"], _stop=stop)
         exec_wl = dict(wl_dict, options=options)
     backend = create(payload["backend"], **payload["backend_options"])
-    workload = _W.from_dict(exec_wl)
+    workload = Workload.from_dict(exec_wl)
     try:
         summary = backend.run(workload)
     except RunPaused:

@@ -114,8 +114,8 @@ def simulate_mta_cc(
         phase is recorded back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
-        :class:`~repro.sim.MTAEngine` (any registered interleaved
-        machine's facade works — see :mod:`repro.sim.machines`).
+        :class:`~repro.sim.MTAEngine` (any interleaved machine's
+        facade works, e.g. :class:`~repro.sim.mta_next.MTANextEngine`).
     session:
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by every graft/shortcut engine phase (periodic snapshots /

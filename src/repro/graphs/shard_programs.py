@@ -263,19 +263,12 @@ def simulate_sharded_cc(
     plan = PartitionPlan(bounds[-1], p, k, addr_bounds=bounds, proc_bounds=pb)
     params = dict(params or {})
     params.setdefault("streams_per_proc", max(int(streams_per_proc), 1))
-    if k > 1:
-        # sharding assumes the flat hashed-memory model; machines that
-        # default to bank queueing (mta-next) drop it, like the facade
-        from ..sim.mta_engine import MTAMachine
-
-        if params.get("n_banks"):
-            raise WorkloadError(
-                "bank modeling (n_banks) is incompatible with sharding:"
-                " shard timing needs the flat hashed-memory model"
-            )
-        probe = (base or MTAMachine)(p, **params)
-        if getattr(probe, "n_banks", 0):
-            params = dict(params, n_banks=0)
+    if k > 1 and params.get("n_banks"):
+        # run_sharded rejects it too; this is the workload-level error
+        raise WorkloadError(
+            "bank modeling (n_banks) is incompatible with sharding:"
+            " shard timing needs the flat hashed-memory model"
+        )
     chunk = max(int(edges_per_chunk), 1)
     vchunk = max(4, chunk)
     graft_w = [max(1, min((pb[j + 1] - pb[j]) * params["streams_per_proc"],

@@ -121,8 +121,8 @@ def simulate_mta_list_ranking(
         recorded back to back on its timeline.
     engine:
         Engine facade to construct instead of the stock
-        :class:`~repro.sim.MTAEngine` (any registered interleaved
-        machine's facade works — see :mod:`repro.sim.machines`).
+        :class:`~repro.sim.MTAEngine` (any interleaved machine's
+        facade works, e.g. :class:`~repro.sim.mta_next.MTANextEngine`).
     session:
         Optional :class:`repro.sim.checkpoint.CheckpointSession` shared
         by all four engine phases (periodic snapshots / resume).

@@ -6,8 +6,10 @@ watchdog, barriers, phases, and instrumentation (via the
 :class:`~repro.sim.kernel.MachineModel` implementations
 (:class:`~repro.sim.smp_engine.SMPMachine`,
 :class:`~repro.sim.mta_engine.MTAMachine`, …) behind the historical
-``SMPEngine`` / ``MTAEngine`` facades.  New machines register through
-:func:`~repro.sim.machines.register_machine`.  See ``docs/SIMULATION.md``.
+``SMPEngine`` / ``MTAEngine`` facades.  A new interleaved machine
+becomes a backend with one :func:`repro.backends.register` call around
+a :class:`~repro.backends.engine.ModelEngineBackend`; this package never
+imports the backend layer.  See ``docs/SIMULATION.md``.
 """
 
 from . import isa
@@ -27,7 +29,6 @@ from .kernel import (
     MachineModel,
     SimKernel,
 )
-from .machines import list_machines, machine_spec, register_machine
 from .mta_engine import MTAEngine, MTAMachine
 from .mta_next import MTANextMachine
 from .shard import PartitionPlan, ShardResult, run_sharded, sharded_machine
@@ -58,9 +59,6 @@ __all__ = [
     "TracerHook",
     "CheckerHook",
     "HOOK_EVENTS",
-    "register_machine",
-    "list_machines",
-    "machine_spec",
     "PhaseSlice",
     "SimReport",
     "combine_reports",

@@ -32,10 +32,12 @@ Two scheduling disciplines cover the paper's machines:
     per cycle from some ready stream, round-robin, with fast-forward
     over globally idle spans (the MTA's fair hardware scheduler).
 
-A new machine registers in a single module with zero edits here: define
-a :class:`MachineModel` subclass, wrap it in an engine facade (or reuse
-:class:`repro.sim.MTAEngine`'s), and call
-:func:`repro.sim.machines.register_machine`.  See ``docs/SIMULATION.md``.
+A new machine needs zero edits here: define a :class:`MachineModel`
+subclass and wrap it in an engine facade (an interleaved machine
+subclasses :class:`repro.sim.MTAEngine` and sets ``machine_class``).
+One :func:`repro.backends.register` call around a
+:class:`~repro.backends.engine.ModelEngineBackend` then makes it a
+backend.  See ``docs/SIMULATION.md``.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ architecture as soon as it is available."  This module *is* that study
 seam, and it is also the demonstration that the kernel / machine-model
 split works: a new cycle-level machine in one file, with zero edits to
 ``kernel.py`` — a :class:`~repro.sim.mta_engine.MTAMachine` subclass
-flips the parameters the commodity redesign would change, an engine
-facade points at it, and one
-:func:`~repro.sim.machines.register_machine` call puts
-``mta-next-engine`` in the backend registry next to the built-ins.
+flips the parameters the commodity redesign would change and an engine
+facade points at it.  :mod:`repro.backends` registers it as
+``mta-next-engine`` next to the built-ins (one
+:func:`~repro.backends.register` call with a
+:class:`~repro.backends.engine.ModelEngineBackend`).
 
 What the commodity redesign changes relative to the MTA-2:
 
@@ -32,8 +33,6 @@ unchanged, which is the architectural claim in code form.
 
 from __future__ import annotations
 
-from .kernel import INTERLEAVED
-from .machines import register_machine
 from .mta_engine import MTAEngine, MTAMachine
 
 __all__ = ["MTANextMachine", "MTANextEngine"]
@@ -75,15 +74,3 @@ class MTANextEngine(MTAEngine):
 
     machine_class = MTANextMachine
 
-
-register_machine(
-    "mta-next",
-    MTANextEngine,
-    scheduling=INTERLEAVED,
-    kinds=("rank", "cc", "chase"),
-    description="Hypothetical commodity-parts Cray: banked high-latency memory, 64 streams",
-    # shardable: the facade inherits MTAEngine's shards=; sharded runs
-    # drop the banked default (flat memory only — see docs/SHARDING.md)
-    shardable=True,
-    replace=True,
-)

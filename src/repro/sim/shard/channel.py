@@ -11,9 +11,9 @@ Two transports implement the same two-method protocol:
 
 :func:`loopback_pair`
     ``queue.SimpleQueue`` pairs for the inline executor (worker threads
-    in the coordinator's process).  Used by the engine facades, the
-    differential fuzzer, and as the reference implementation the
-    multi-process executor must match byte for byte.
+    in the coordinator's process).  The default transport, and the
+    reference implementation the multi-process executor must match
+    byte for byte.
 
 :func:`pipe_pair`
     ``multiprocessing.Pipe`` pairs for the process executor.  Messages

@@ -52,15 +52,17 @@ from ...errors import (
     RunPaused,
     SimulationError,
 )
+from ..mta_engine import MTAMachine
 from ..stats import PhaseSlice, SimReport
 from .channel import ChannelClosed, Endpoint, loopback_pair
+from .machine import sharded_machine
 from .partition import PartitionPlan, assign_workers
-from .worker import ShardWorker, _mp_main, worker_main
+from .worker import _mp_main, worker_main
 
 __all__ = ["ShardResult", "run_sharded", "load_manifest", "MANIFEST_NAME"]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _INF = 1 << 62
 
@@ -97,17 +99,13 @@ class _Handle:
 # -- executors -------------------------------------------------------------------
 
 
-def _launch_inline(specs, prebuilt=None):
+def _launch_inline(specs):
     handles = []
     for i, spec in enumerate(specs):
         coord_ep, worker_ep = loopback_pair()
-        if prebuilt is not None:
-            worker = ShardWorker(spec, worker_ep, prebuilt=prebuilt[i])
-            target, args = worker.run, ()
-        else:
-            target, args = worker_main, (worker_ep, spec)
         th = threading.Thread(
-            target=target, args=args, name=f"shard-worker-{i}", daemon=True
+            target=worker_main, args=(worker_ep, spec),
+            name=f"shard-worker-{i}", daemon=True,
         )
         th.start()
         handles.append(_Handle(coord_ep, th.join))
@@ -266,7 +264,7 @@ def _merge_reports(reports: list[SimReport]) -> SimReport:
 
 class _Coordinator:
     def __init__(self, handles, plan, parts, *, remote_latency, checkpoint,
-                 resumed_cycle, meta):
+                 resumed_cycle, meta, resumed=None):
         self.handles = handles
         self.plan = plan
         self.parts = parts
@@ -294,6 +292,8 @@ class _Coordinator:
         self.bar_workers: dict[str, set] = {}
         # per-worker effective-now ratchet
         self.E_prev = [0] * self.W
+        if resumed is not None:
+            self._restore(resumed)
 
     # -- channel helpers ---------------------------------------------------------
 
@@ -557,10 +557,38 @@ class _Coordinator:
                     f"shard worker {w} died before round {self.rounds}"
                 ) from None
 
-    def _take_checkpoint(self, stop: bool) -> None:
-        states = [self._recv(w, "state")["state"] for w in range(self.W)]
-        _persist(self.checkpoint["dir"], self.meta, states)
+    # -- checkpoint state ----------------------------------------------------------
+
+    def _state(self) -> dict:
+        """Everything a resumed run needs to continue this coordinator
+        exactly: run-wide counters (they land in ``ShardResult.detail``),
+        the effective-now ratchet and partially arrived barriers."""
+        return {
+            "rounds": self.rounds,
+            "msgs_routed": self.msgs_routed,
+            "checkpoints": self.ckpts_taken,
+            "E_prev": list(self.E_prev),
+            "bar_count": dict(self.bar_count),
+            "bar_max": dict(self.bar_max),
+            "bar_workers": {b: sorted(ws) for b, ws in self.bar_workers.items()},
+        }
+
+    def _restore(self, st: dict) -> None:
+        self.rounds = st["rounds"]
+        self.msgs_routed = st["msgs_routed"]
+        self.ckpts_taken = st["checkpoints"]
+        self.E_prev = list(st["E_prev"])
+        self.bar_count = dict(st["bar_count"])
+        self.bar_max = dict(st["bar_max"])
+        self.bar_workers = {b: set(ws) for b, ws in st["bar_workers"].items()}
+
+    def _save(self, states: list) -> None:
         self.ckpts_taken += 1
+        _persist(self.checkpoint["dir"],
+                 dict(self.meta, coordinator=self._state()), states)
+
+    def _take_checkpoint(self, stop: bool) -> None:
+        self._save([self._recv(w, "state")["state"] for w in range(self.W)])
         every = self.checkpoint["every"]
         self.next_ckpt += every
         if stop:
@@ -581,8 +609,7 @@ class _Coordinator:
         while True:
             msg = self._recv(0, "state", "fin", "paused")
             if msg["kind"] == "state":
-                _persist(self.checkpoint["dir"], self.meta, [msg["state"]])
-                self.ckpts_taken += 1
+                self._save([msg["state"]])
                 stop = stop_after is not None and self.ckpts_taken >= stop_after
                 self.handles[0].ep.send({"op": None, "stop": stop})
             elif msg["kind"] == "paused":
@@ -611,10 +638,10 @@ class _Coordinator:
 def run_sharded(
     plan: PartitionPlan,
     *,
+    builder,
+    builder_args=(),
     workers: int | None = None,
     executor: str = "inline",
-    builder=None,
-    builder_args=(),
     base=None,
     params=None,
     remote_latency=None,
@@ -625,8 +652,6 @@ def run_sharded(
     record: bool = False,
     checkpoint: dict | None = None,
     resume: str | None = None,
-    prebuilt=None,
-    tid_maps=None,
 ) -> ShardResult:
     """Run one sharded simulation end to end and merge the results.
 
@@ -639,8 +664,17 @@ def run_sharded(
     :class:`~repro.sim.shard.worker.WorkerContext`; it runs SPMD-style
     on every worker and must make the identical call sequence (the
     ``mp`` executor additionally needs it picklable, e.g. module-level,
-    under a spawn start method).  ``prebuilt`` (facade path) supplies
-    ready ``(machine, kernel, eventlog)`` triples instead, inline only.
+    under a spawn start method).  ``base`` is the machine class
+    (default :class:`~repro.sim.mta_engine.MTAMachine`) and ``params``
+    its construction overrides.
+
+    Before any worker starts, one reference machine is built here from
+    ``base``/``params``/``remote_latency``, so a bad configuration
+    raises :class:`~repro.errors.ConfigurationError` in the caller.
+    With more than one partition, timing needs the flat hashed-memory
+    model: a machine's default banks (``mta-next``) are dropped and an
+    explicit ``n_banks`` is rejected.  ``remote_latency`` defaults to
+    the machine's ``mem_latency``.
 
     ``checkpoint`` is ``{"dir": path, "every": cycles[, "stop_after":
     n]}``: coordinated consistent-cut snapshots land in ``dir`` (one
@@ -662,11 +696,19 @@ def run_sharded(
                 "shard checkpoint config needs 'dir' and 'every'"
             )
         record = True
-    if prebuilt is not None and executor != "inline":
-        raise ConfigurationError("prebuilt shard workers require the inline executor")
+    params = dict(params or {})
+    if plan.k > 1:
+        # flat memory: drop a default bank model; explicit banks the
+        # machine itself rejects
+        params.setdefault("n_banks", 0)
+    remote_latency = sharded_machine(base or MTAMachine)(
+        plan=plan, part_lo=0, part_hi=plan.k,
+        remote_latency=remote_latency, **params,
+    ).remote_latency
 
     resumed_cycle = 0
     states = None
+    resumed = None
     if resume is not None:
         manifest = load_manifest(resume)
         if manifest["plan"] != _json_sig(plan):
@@ -680,6 +722,7 @@ def run_sharded(
             )
         states = _load_states(resume, manifest)
         resumed_cycle = manifest["cycle"]
+        resumed = manifest["coordinator"]
         name = manifest["name"]
 
     specs = []
@@ -689,7 +732,7 @@ def run_sharded(
             "plan": plan,
             "parts": parts[w],
             "base": base,
-            "params": dict(params or {}),
+            "params": params,
             "remote_latency": remote_latency,
             "builder": builder,
             "builder_args": tuple(builder_args),
@@ -699,7 +742,6 @@ def run_sharded(
             "record": record,
             "every": (checkpoint or {}).get("every"),
             "collect_events": collect_events,
-            "tid_map": tid_maps[w] if tid_maps is not None else None,
         }
         if states is not None:
             spec["resume_state"] = states[w]
@@ -713,18 +755,15 @@ def run_sharded(
         "remote_latency": remote_latency,
         "every": (checkpoint or {}).get("every"),
     }
-    handles = _EXECUTORS[executor](specs) if prebuilt is None else (
-        _launch_inline(specs, prebuilt)
-    )
     coord = _Coordinator(
-        handles,
+        _EXECUTORS[executor](specs),
         plan,
         parts,
-        remote_latency=_effective_latency(specs, prebuilt, remote_latency,
-                                          base, params),
+        remote_latency=remote_latency,
         checkpoint=checkpoint,
         resumed_cycle=resumed_cycle,
         meta=meta,
+        resumed=resumed,
     )
     coord.gather_hellos()
     if plan.k == 1:
@@ -784,17 +823,3 @@ def _json_sig(plan: PartitionPlan) -> list:
         list(plan.addr_bounds),
         list(plan.proc_bounds),
     ]
-
-
-def _effective_latency(specs, prebuilt, remote_latency, base, params):
-    if remote_latency is not None:
-        return int(remote_latency)
-    if prebuilt is not None:
-        return prebuilt[0][0].remote_latency
-    # mirror the machine default: remote latency falls back to mem_latency
-    if params and "mem_latency" in params:
-        return int(params["mem_latency"])
-    from ..mta_engine import MTAMachine
-
-    cls = base or MTAMachine
-    return cls(1).mem_latency

@@ -28,15 +28,16 @@ __all__ = ["ShardEventLog"]
 class ShardEventLog:
     """Record op/span/sync/release/phase events with global identities.
 
-    ``tid_map`` maps this kernel's local tids to global ones (identity
-    when None — correct for the unsharded reference kernel and adequate
-    for runs that never compare event streams); ``proc_offset`` shifts
-    local processor indices to global ones.
+    ``proc_offset`` shifts local processor indices to global ones;
+    :attr:`tid_map` maps this kernel's local tids to global ones (the
+    shard worker derives it from spawn order; identity when None — the
+    unsharded reference kernel).
     """
 
-    def __init__(self, tid_map=None, proc_offset: int = 0):
-        self.tid_map = tid_map
+    def __init__(self, proc_offset: int = 0):
         self.proc_offset = proc_offset
+        #: local tid -> global tid, or None for the identity
+        self.tid_map: list | None = None
         self.records: list[tuple] = []
 
     def _tid(self, tid: int) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import traceback
 
-from ...errors import ConfigurationError, RunPaused
+from ...errors import RunPaused
 from ..kernel import SimKernel
 from ..mta_engine import MTAMachine
 from .channel import ChannelClosed, Endpoint
@@ -125,25 +125,20 @@ class WorkerContext:
 class ShardWorker:
     """Executes one worker's share of a sharded run over an endpoint.
 
-    Construct either from a ``spec`` dict (builder path — used by the
-    executors, including across a process boundary) or from pre-built
-    ``(machine, kernel, eventlog)`` parts (facade path, inline only).
-
-    Spec keys: ``w`` (worker index), ``plan``, ``parts`` ``(lo, hi)``,
+    Built from a ``spec`` dict, which crosses the process boundary
+    under the ``mp`` executor.  Spec keys: ``w`` (worker index),
+    ``plan``, ``parts`` ``(lo, hi)``,
     ``base`` (machine class, default :class:`MTAMachine`), ``params``
     (machine kwargs), ``remote_latency``, ``builder``/``builder_args``,
     ``name``, ``budget``, ``tier``, ``record``, ``every`` (checkpoint
-    cadence), ``resume_state``, ``collect_events``, ``tid_map``.
+    cadence), ``resume_state``, ``collect_events``.
     """
 
-    def __init__(self, spec: dict, endpoint: Endpoint, *, prebuilt=None):
+    def __init__(self, spec: dict, endpoint: Endpoint):
         self.spec = spec
         self.ep = endpoint
         self.w = spec["w"]
-        if prebuilt is not None:
-            self.machine, self.kernel, self.eventlog = prebuilt
-        else:
-            self._build()
+        self._build()
         self.plan = self.machine.plan
         self._round_no = 0
         self._horizon: int | None = -1  # unknown: round at the first service point
@@ -168,16 +163,13 @@ class ShardWorker:
         kernel = SimKernel(machine, record=bool(spec.get("record")))
         eventlog = None
         if spec.get("collect_events"):
-            eventlog = ShardEventLog(spec.get("tid_map"), machine.proc_offset)
+            eventlog = ShardEventLog(proc_offset=machine.proc_offset)
             kernel.bus.add(eventlog)
         self.machine, self.kernel, self.eventlog = machine, kernel, eventlog
         ctx = WorkerContext(kernel, machine, self.w)
-        builder = spec.get("builder")
-        if builder is None:
-            raise ConfigurationError("worker spec has neither builder nor prebuilt parts")
-        builder(ctx, *spec.get("builder_args", ()))
-        if eventlog is not None and eventlog.tid_map is None and ctx.tid_map:
-            # builder path: derive the local->global map from spawn order
+        spec["builder"](ctx, *spec.get("builder_args", ()))
+        if eventlog is not None and ctx.tid_map:
+            # derive the local->global map from spawn order
             inv = [None] * len(ctx.tid_map)
             for gtid, ltid in ctx.tid_map.items():
                 inv[ltid] = gtid
@@ -288,8 +280,13 @@ class ShardWorker:
     def _run_protocol(self):
         spec = self.spec
         every = spec.get("every")
+        state = spec.get("resume_state")
+        if state is not None:
+            # continue inside the grant of the round that checkpointed,
+            # exactly as the uninterrupted run does
+            self._horizon = state["progress"]["horizon"]
+            self._bar_stop = state["progress"]["bar_stop"]
         if every:
-            state = spec.get("resume_state")
             cycle0 = state["progress"]["cycle"] if state is not None else 0
             self._ckpt_cap = (cycle0 // every + 1) * every
         report = self.kernel.run(
@@ -418,7 +415,12 @@ class ShardWorker:
 
     def _checkpoint(self, cycle: int, *, stop: bool) -> None:
         kern = self.kernel
-        state = kern.snapshot({"cycle": cycle, "last_issue": kern._last_issue})
+        state = kern.snapshot({
+            "cycle": cycle,
+            "last_issue": kern._last_issue,
+            "horizon": self._horizon,
+            "bar_stop": self._bar_stop,
+        })
         self.ep.send({"kind": "state", "w": self.w, "state": state})
         every = self.spec["every"]
         self._ckpt_cap = (cycle // every + 1) * every

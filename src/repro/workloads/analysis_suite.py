@@ -12,7 +12,7 @@ op, and detector coverage does not improve with scale — but keep
 
 from __future__ import annotations
 
-from ..backends.base import Workload
+from ..core.workload import Workload
 
 __all__ = ["paper_programs"]
 

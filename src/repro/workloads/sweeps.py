@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..backends.base import Workload
 from ..core.runner import Job, derive_seed
+from ..core.workload import Workload
 from .specs import FIG1_SPEC, FIG2_SPEC, TABLE1_SPEC, Fig1Spec, Fig2Spec, Table1Spec
 
 __all__ = [

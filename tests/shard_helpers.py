@@ -94,7 +94,8 @@ def build_deadlock(ctx):
 
 
 class EngCtx:
-    """Drive an unsharded engine facade with WorkerContext-style calls."""
+    """Drive an unsharded engine facade with WorkerContext-style calls
+    (no ``set_value``: GV/PV value words exist only on sharded machines)."""
 
     def __init__(self, eng):
         self.eng = eng
@@ -107,9 +108,6 @@ class EngCtx:
 
     def set_full(self, addr, value=0):
         self.eng.set_full(addr, value)
-
-    def set_value(self, addr, value=0):
-        self.eng.set_value(addr, value)
 
     def register_barrier(self, bid, count):
         self.eng.register_barrier(bid, count)

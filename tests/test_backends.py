@@ -36,6 +36,39 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             register("smp-model", lambda: None)
 
+    def test_mta_next_engine_row(self):
+        from repro.sim import HOOK_EVENTS
+
+        row = next(r for r in describe() if r["name"] == "mta-next-engine")
+        assert row["level"] == "engine"
+        assert row["kinds"] == ["rank", "cc", "chase"]
+        assert row["machine"] == "mta-next"
+        assert row["hooks"] == list(HOOK_EVENTS)
+        assert row["tiers"] == ["interpreted"]
+        assert row["checkpoint"] and row["shardable"]
+
+    def test_register_model_engine_backend(self):
+        """Adding an interleaved machine is one register() call."""
+        from repro.backends.engine import ModelEngineBackend
+        from repro.sim import MTAEngine
+
+        register(
+            "toy-mta-engine",
+            lambda: ModelEngineBackend(name="toy-mta-engine",
+                                       engine_factory=MTAEngine),
+            level="engine", kinds=("chase",), machine="toy-mta",
+        )
+        try:
+            row = next(r for r in describe() if r["name"] == "toy-mta-engine")
+            assert row["machine"] == "toy-mta"
+            w = Workload("chase", 2, 0, {"chasers": 4},
+                         {"steps": 4, "streams_per_proc": 8})
+            summary = create("toy-mta-engine").run(w)
+            assert summary.detail["backend"] == "toy-mta-engine"
+            assert summary.cycles == create("mta-engine").run(w).cycles
+        finally:
+            backends.registry._REGISTRY.pop("toy-mta-engine", None)
+
     def test_replace_allows_reregistration(self):
         sentinel = object()
         register("test-backend", lambda: sentinel, description="v1")
@@ -207,6 +240,63 @@ class TestShardedExecution:
         # remote latency equal to mem latency the cycles must agree
         assert sharded.cycles == plain.cycles
         assert sharded.detail["shards"] == 4
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_nonpositive_shards_rejected(self, shards):
+        with pytest.raises(ConfigurationError, match="shards must be >= 1"):
+            create("mta-engine").run(self._cc(shards=shards))
+
+    @pytest.mark.parametrize("executor", ["inline", "mp"])
+    def test_bad_remote_latency_is_a_configuration_error(self, capfd, executor):
+        w = Workload("chase", 4, 0, {"chasers": 4},
+                     {"steps": 4, "streams_per_proc": 8, "shards": 2,
+                      "shard_executor": executor, "remote_latency": 0})
+        with pytest.raises(ConfigurationError, match="remote_latency"):
+            create("mta-engine").run(w)
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_sharded_chase_records_match_golden(self):
+        """Full canonical records of sharded chase, pinned before the
+        facade's sharded mode was replaced by one run_sharded builder:
+        mta-engine at k=4 with W=1 and W=4, and mta-next-engine at k=2
+        (which must drop its default banks)."""
+        import pathlib
+
+        from repro.core.runner import Job, run_jobs
+
+        lines = []
+        for backend, k, W in (("mta-engine", 4, 1), ("mta-engine", 4, 4),
+                              ("mta-next-engine", 2, None)):
+            opts = {"steps": 12, "streams_per_proc": 8, "shards": k,
+                    "shard_executor": "inline"}
+            if W is not None:
+                opts["shard_workers"] = W
+            w = Workload("chase", 4, 0, {"chasers": 16}, opts)
+            [r] = run_jobs([Job(w, backend)], workers=1, cache=False)
+            lines.append(r.jsonl())
+        golden = pathlib.Path(__file__).parent / "golden" / "shard_chase.jsonl"
+        assert "\n".join(lines) + "\n" == golden.read_text()
+
+    def test_paused_sharded_chase_resumes_to_identical_record(self, tmp_path):
+        """Backend checkpoint path: a run paused after its first
+        checkpoint and auto-resumed reports the same canonical record
+        (shard counters included) as an uninterrupted run."""
+        from repro.core.runner import Job, run_jobs
+        from repro.errors import RunPaused
+
+        def job(**ckpt):
+            opts = {"steps": 40, "streams_per_proc": 8, "shards": 2,
+                    "shard_executor": "inline",
+                    "checkpoint": {"every": 200, "dir": str(tmp_path), **ckpt}}
+            return Job(Workload("chase", 4, 0, {"chasers": 16}, opts),
+                       "mta-engine")
+
+        [ref] = run_jobs([job(fresh=True)], workers=1, cache=False)
+        with pytest.raises(RunPaused):
+            create("mta-engine").run(job(fresh=True, stop_after=1).workload)
+        [resumed] = run_jobs([job()], workers=1, cache=False)
+        assert resumed.jsonl() == ref.jsonl()
+        assert ref.detail["shard"]["checkpoints"] > 1
 
     def test_smp_engine_rejects_shards(self):
         w = Workload("cc", 4, 1, {"graph": "random", "n": 48, "m": 128},

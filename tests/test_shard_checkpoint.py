@@ -39,6 +39,11 @@ class TestResume:
                     checkpoint={"dir": d, "every": 500})
         assert canon(res.report) == canon(ref.report)
         assert res.detail["checkpoints"] > 0
+        # the coordinator's counters continue from the manifest: the
+        # resumed run reports what an uninterrupted checkpointed run does
+        full = shard(k, W, executor=ex,
+                     checkpoint={"dir": str(tmp_path / "full"), "every": 500})
+        assert res.detail == full.detail
 
     def test_manifest_records_plan_and_workers(self, tmp_path):
         d = str(tmp_path / "ckpt")

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.sim import MTAEngine, SMPEngine, isa
 
+from .shard_helpers import EngCtx
+
 # one op of a random straight-line program (no sync ops — those need
 # matched partners and are fuzzed separately below)
 plain_op = st.one_of(
@@ -416,22 +418,6 @@ def _apply_shard_case(ctx, case, *, sharded: bool):
         ctx.spawn(consumer(addr, d2), cproc)
 
 
-class _UnshardedCtx:
-    """Builder-context shim over a plain MTAEngine."""
-
-    def __init__(self, eng):
-        self.eng = eng
-
-    def spawn(self, gen, proc):
-        self.eng.spawn(gen, proc=proc)
-
-    def set_counter(self, addr, value=0):
-        self.eng.set_counter(addr, value)
-
-    def register_barrier(self, bid, count):
-        self.eng.register_barrier(bid, count)
-
-
 def _run_shard_fuzz_unsharded(seed: int, *, events: bool):
     from repro.sim.shard.eventlog import ShardEventLog
 
@@ -439,7 +425,7 @@ def _run_shard_fuzz_unsharded(seed: int, *, events: bool):
     case = _shard_fuzz_case(rng, cross=False)
     log = ShardEventLog() if events else None
     eng = MTAEngine(_SHARD_P, hooks=(log,) if log else (), **case["params"])
-    _apply_shard_case(_UnshardedCtx(eng), case, sharded=False)
+    _apply_shard_case(EngCtx(eng), case, sharded=False)
     report = eng.run("fuzz", 10_000_000)
     return _report_blob(report), (log.canonical() if log else None)
 
