@@ -29,13 +29,49 @@ name-based registry is :mod:`repro.backends.registry`.
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.workload import Workload, canonical_json
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, WorkloadError
 
-__all__ = ["Workload", "RunHandle", "Backend", "canonical_json"]
+__all__ = ["Workload", "RunHandle", "Backend", "canonical_json", "int_value"]
+
+_REQUIRED = object()
+
+
+def int_value(values, key: str, default: Any = _REQUIRED, *, option: bool = False):
+    """``values[key]`` as an int, or ``default`` when it is unset (None).
+
+    Workload params and options reach the backends as loosely typed
+    JSON from the CLI and the service, so the backends read integers
+    from them through here.  An unset key without a default, a bool, a
+    non-integral number or a non-numeric string raises an error naming
+    the key: :class:`~repro.errors.WorkloadError` for a param,
+    :class:`~repro.errors.ConfigurationError` for an option
+    (``option=True``).
+    """
+    error, what = (ConfigurationError, "option") if option else (WorkloadError, "param")
+    value = values.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise error(f"missing {what} {key!r}")
+        return default
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} {key!r} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -64,7 +64,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..errors import ConfigurationError
-from .base import Backend, RunHandle
+from .base import Backend, RunHandle, int_value
 
 __all__ = [
     "SMPEngineBackend",
@@ -112,7 +112,7 @@ class SMPEngineBackend(Backend):
 
             kw = {}
             if opt.get("s") is not None:
-                kw["s"] = int(opt["s"])
+                kw["s"] = int_value(opt, "s", option=True)
             sim = simulate_smp_list_ranking(
                 handle.data, p=workload.p, rng=workload.seed,
                 config=self.config, check=check, tier=tier, session=session, **kw,
@@ -122,7 +122,7 @@ class SMPEngineBackend(Backend):
 
             sim = simulate_smp_cc(
                 handle.data, p=workload.p,
-                max_iter=int(opt.get("max_iter", 64)),
+                max_iter=int_value(opt, "max_iter", 64, option=True),
                 config=self.config, check=check, tier=tier, session=session,
                 variant=opt.get("variant"),
             )
@@ -177,8 +177,8 @@ class MTAEngineBackend(Backend):
             sim = simulate_mta_list_ranking(
                 handle.data,
                 p=workload.p,
-                streams_per_proc=int(opt.get("streams_per_proc", 100)),
-                nodes_per_walk=int(opt.get("nodes_per_walk", 10)),
+                streams_per_proc=int_value(opt, "streams_per_proc", 100, option=True),
+                nodes_per_walk=int_value(opt, "nodes_per_walk", 10, option=True),
                 dynamic=bool(opt.get("dynamic", True)),
                 engine_kwargs=engine_kwargs,
                 check=check,
@@ -191,9 +191,9 @@ class MTAEngineBackend(Backend):
             sim = simulate_mta_cc(
                 handle.data,
                 p=workload.p,
-                streams_per_proc=int(opt.get("streams_per_proc", 100)),
-                edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
-                max_iter=int(opt.get("max_iter", 64)),
+                streams_per_proc=int_value(opt, "streams_per_proc", 100, option=True),
+                edges_per_chunk=int_value(opt, "edges_per_chunk", 16, option=True),
+                max_iter=int_value(opt, "max_iter", 64, option=True),
                 engine_kwargs=engine_kwargs,
                 check=check,
                 engine=self.engine_factory,
@@ -232,7 +232,7 @@ class MTAEngineBackend(Backend):
                 executor=shard["executor"],
                 builder=_chase_builder,
                 builder_args=(int(handle.meta.get("chasers", 1)),
-                              int(opt.get("steps", 40)), workload.p),
+                              int_value(opt, "steps", 40, option=True), workload.p),
                 base=base,
                 params=_chase_params(opt),
                 remote_latency=shard["remote_latency"],
@@ -264,9 +264,9 @@ class MTAEngineBackend(Backend):
                 workers=shard["workers"],
                 executor=shard["executor"],
                 remote_latency=shard["remote_latency"],
-                streams_per_proc=int(opt.get("streams_per_proc", 100)),
-                edges_per_chunk=int(opt.get("edges_per_chunk", 16)),
-                max_iter=int(opt.get("max_iter", 64)),
+                streams_per_proc=int_value(opt, "streams_per_proc", 100, option=True),
+                edges_per_chunk=int_value(opt, "edges_per_chunk", 16, option=True),
+                max_iter=int_value(opt, "max_iter", 64, option=True),
                 params=params,
                 base=base,
                 tier=tier,
@@ -289,7 +289,7 @@ class MTAEngineBackend(Backend):
 
         workload = handle.workload
         opt = workload.options
-        steps = int(opt.get("steps", 40))
+        steps = int_value(opt, "steps", 40, option=True)
         engine = self.engine_factory or MTAEngine
         session = _resolve_session(workload, self.name, check)
         eng = engine(
@@ -315,9 +315,9 @@ class MTAEngineBackend(Backend):
 def _chase_params(opt) -> dict:
     """Machine parameters of the ``chase`` saturation curve."""
     return {
-        "streams_per_proc": int(opt.get("streams_per_proc", 128)),
-        "mem_latency": int(opt.get("mem_latency", 100)),
-        "lookahead": int(opt.get("lookahead", 2)),
+        "streams_per_proc": int_value(opt, "streams_per_proc", 128, option=True),
+        "mem_latency": int_value(opt, "mem_latency", 100, option=True),
+        "lookahead": int_value(opt, "lookahead", 2, option=True),
     }
 
 
@@ -359,14 +359,11 @@ class ModelEngineBackend(MTAEngineBackend):
 def _resolve_shards(workload):
     """Normalized shard options (None when the run is unsharded)."""
     opt = workload.options
-    shards = opt.get("shards")
-    shards = 1 if shards is None else int(shards)
+    shards = int_value(opt, "shards", 1, option=True)
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if shards == 1:
         return None
-    workers = opt.get("shard_workers")
-    remote = opt.get("remote_latency")
     executor = str(opt.get("shard_executor") or "mp")
     if executor not in ("mp", "inline"):
         raise ConfigurationError(
@@ -374,9 +371,9 @@ def _resolve_shards(workload):
         )
     return {
         "shards": shards,
-        "workers": int(workers) if workers is not None else None,
+        "workers": int_value(opt, "shard_workers", None, option=True),
         "executor": executor,
-        "remote_latency": int(remote) if remote is not None else None,
+        "remote_latency": int_value(opt, "remote_latency", None, option=True),
     }
 
 

@@ -23,7 +23,7 @@ from typing import Any
 
 from ..core.workload import _jsonable
 from ..errors import ConfigurationError
-from .base import Workload, canonical_json
+from .base import Workload, canonical_json, int_value
 
 __all__ = ["instrument", "algorithms_for", "extras_from_run", "clear_run_memo"]
 
@@ -50,7 +50,7 @@ def _rank_helman_jaja(nxt, p, seed, opt):
 
     kw = {}
     if opt.get("s") is not None:
-        kw["s"] = int(opt["s"])
+        kw["s"] = int_value(opt, "s", option=True)
     return rank_helman_jaja(
         nxt,
         p,
@@ -66,7 +66,7 @@ def _rank_mta_walks(nxt, p, seed, opt):
 
     kw = {}
     if opt.get("nwalks") is not None:
-        kw["nwalks"] = int(opt["nwalks"])
+        kw["nwalks"] = int_value(opt, "nwalks", option=True)
     return rank_mta(
         nxt,
         p,
@@ -81,7 +81,7 @@ def _rank_branch_avoiding(nxt, p, seed, opt):
 
     kw = {}
     if opt.get("s") is not None:
-        kw["s"] = int(opt["s"])
+        kw["s"] = int_value(opt, "s", option=True)
     return rank_branch_avoiding(
         nxt,
         p,
@@ -98,8 +98,8 @@ def _rank_compaction(nxt, p, seed, opt):
     return rank_by_compaction(
         nxt,
         p,
-        fanout=int(opt.get("fanout", 10)),
-        threshold=int(opt.get("threshold", 256)),
+        fanout=int_value(opt, "fanout", 10, option=True),
+        threshold=int_value(opt, "threshold", 256, option=True),
     )
 
 
@@ -194,7 +194,7 @@ _CC.update(
 def _bfs(g, p, seed, opt):
     from ..graphs.parallel_bfs import parallel_bfs
 
-    return parallel_bfs(g, source=int(opt.get("source", 0)), p=p)
+    return parallel_bfs(g, source=int_value(opt, "source", 0, option=True), p=p)
 
 
 def _msf(data, p, seed, opt):
@@ -281,7 +281,7 @@ def instrument(workload: Workload, data: Any, *, default_algorithm: str | None =
             f"unknown {workload.kind} algorithm {algorithm!r}"
             f" (available: {', '.join(sorted(table))})"
         )
-    run_p = int(workload.option("instrument_p", workload.p))
+    run_p = int_value(workload.options, "instrument_p", workload.p, option=True)
     opts = {k: v for k, v in workload.options.items() if k != "instrument_p"}
     memo_key = canonical_json(
         {

@@ -53,8 +53,8 @@ without writing Python:
     backpressure), per-job timeouts, and ``GET /v1/metrics``.  Drains
     gracefully on SIGINT/SIGTERM.  See ``docs/SERVICE.md``.
 ``submit``
-    Submit a workload or named sweep to a running service and (by
-    default) poll it to completion.
+    Submit a workload (the same flags as ``run``) or named sweep to a
+    running service and (by default) poll it to completion.
 ``cache``
     Inspect the on-disk result cache; ``--prune`` evicts
     least-recently-used records down to ``--max-entries`` /
@@ -66,6 +66,10 @@ without writing Python:
     deletes one.  ``repro run --checkpoint-every N`` writes them;
     ``--resume`` restores an explicit artifact.  See
     ``docs/SIMULATION.md``, "Checkpoint & resume".
+
+Each command is declared once in :func:`build_parser` with its handler
+(``set_defaults(func=...)``); flag groups shared by several commands —
+workload, cache, checkpoint, ``--jsonl`` — come from one helper each.
 
 Every command accepts ``--help``.  Exit code 0 on success; workload or
 configuration errors print a message and return 2.
@@ -88,7 +92,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree (exposed for doc generation and tests)."""
+    """The argparse tree, which is the command table (exposed for doc
+    generation and tests)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Bader, Cong & Feo (ICPP 2005): "
@@ -97,9 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="show machine configurations")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p_rank = sub.add_parser("rank", help="rank one list on one machine")
+    command("info", _cmd_info, "show machine configurations")
+
+    p_rank = command("rank", _cmd_rank, "rank one list on one machine")
     p_rank.add_argument("--n", type=int, default=1 << 18, help="list length")
     p_rank.add_argument("--p", type=int, default=8, help="processors")
     p_rank.add_argument(
@@ -108,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--machine", choices=("smp", "mta", "both"), default="both")
     p_rank.add_argument("--seed", type=int, default=0)
 
-    p_cc = sub.add_parser("cc", help="connected components on one graph")
+    p_cc = command("cc", _cmd_cc, "connected components on one graph")
     p_cc.add_argument("--n", type=int, default=1 << 16, help="vertices")
     p_cc.add_argument("--edge-factor", type=int, default=8, help="m = factor * n")
     p_cc.add_argument("--p", type=int, default=8, help="processors")
@@ -117,16 +127,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cc.add_argument("--seed", type=int, default=0)
 
-    p_f1 = sub.add_parser("fig1", help="miniature Fig. 1 sweep")
+    p_f1 = command("fig1", _cmd_fig1, "miniature Fig. 1 sweep")
     p_f1.add_argument("--max-n", type=int, default=1 << 18)
 
-    p_f2 = sub.add_parser("fig2", help="miniature Fig. 2 sweep")
+    p_f2 = command("fig2", _cmd_fig2, "miniature Fig. 2 sweep")
     p_f2.add_argument("--n", type=int, default=1 << 18)
 
-    p_t1 = sub.add_parser("table1", help="engine-measured MTA utilization")
+    p_t1 = command("table1", _cmd_table1, "engine-measured MTA utilization")
     p_t1.add_argument("--nodes-per-proc", type=int, default=8000)
 
-    p_tr = sub.add_parser("trace", help="record a cycle-engine run as an event trace")
+    p_tr = command("trace", _cmd_trace, "record a cycle-engine run as an event trace")
     p_tr.add_argument(
         "workload",
         choices=("rank-mta", "rank-smp", "cc-mta", "cc-smp"),
@@ -157,21 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path (default: trace-<workload>.json / .jsonl)",
     )
 
-    p_be = sub.add_parser("backends", help="list registered execution backends")
+    p_be = command("backends", _cmd_backends, "list registered execution backends")
     p_be.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p_run = sub.add_parser(
-        "run", help="run one workload on one backend via the sweep runner"
+    p_run = command(
+        "run", _cmd_run, "run one workload on one backend via the sweep runner"
     )
-    p_run.add_argument(
-        "--workload",
-        required=True,
-        help="workload kind (rank, cc, bfs, msf, tree, chase)",
-    )
-    p_run.add_argument("--backend", required=True, help="backend name (see `repro backends`)")
-    p_run.add_argument("--n", type=int, default=None, help="problem size")
-    p_run.add_argument("--p", type=int, default=8, help="processors")
-    p_run.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p_run, required=True, p_default=8, backend_default=None)
     p_run.add_argument(
         "--shards",
         type=int,
@@ -179,20 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="partition the run across K shard workers (shardable engine"
         " backends only; deterministic for a fixed K — see docs/SHARDING.md)",
-    )
-    p_run.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="extra input parameter (repeatable), e.g. --param list=ordered",
-    )
-    p_run.add_argument(
-        "--opt",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="kernel/backend option (repeatable), e.g. --opt algorithm=wyllie",
     )
     p_run.add_argument("--json", action="store_true", help="print the full record as JSON")
     _add_cache_args(p_run)
@@ -205,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         " id); a stale artifact is an error",
     )
 
-    p_xv = sub.add_parser(
-        "xval", help="cross-validate an analytic model against a cycle engine"
+    p_xv = command(
+        "xval", _cmd_xval, "cross-validate an analytic model against a cycle engine"
     )
     p_xv.add_argument(
         "--workload",
@@ -242,63 +230,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="list the K worst phases by relative error (0 disables)",
     )
-    p_xv.add_argument(
-        "--jsonl",
-        default=None,
-        metavar="PATH",
-        help="write the report as deterministic JSON Lines ('-' = stdout)",
-    )
+    _add_jsonl_arg(p_xv, "write the report as deterministic JSON Lines")
     p_xv.add_argument("--json", action="store_true", help="full report as JSON")
     _add_cache_args(p_xv)
 
-    p_an = sub.add_parser(
-        "analyze", help="concurrency analysis of a workload's op streams"
+    p_an = command(
+        "analyze", _cmd_analyze, "concurrency analysis of a workload's op streams"
     )
-    p_an.add_argument(
-        "--workload",
-        default=None,
-        help="workload kind (rank, cc, chase); omit with --all",
-    )
-    p_an.add_argument(
-        "--backend",
-        default="mta-engine",
-        help="cycle-engine backend to execute under the checker",
-    )
+    _add_workload_args(p_an, required=False, p_default=2, backend_default="mta-engine")
     p_an.add_argument(
         "--all",
         action="store_true",
         dest="all_programs",
         help="analyze every registered paper program instead of one workload",
     )
-    p_an.add_argument("--n", type=int, default=None, help="problem size")
-    p_an.add_argument("--p", type=int, default=2, help="processors")
-    p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="extra input parameter (repeatable)",
-    )
-    p_an.add_argument(
-        "--opt", action="append", default=[], metavar="K=V",
-        help="kernel/backend option (repeatable)",
-    )
     p_an.add_argument(
         "--strict",
         action="store_true",
         help="report races inside allow_racy-annotated regions too",
     )
-    p_an.add_argument(
-        "--jsonl",
-        default=None,
-        metavar="PATH",
-        help="write findings as JSON Lines ('-' = stdout)",
-    )
+    _add_jsonl_arg(p_an, "write findings as JSON Lines")
     p_an.add_argument(
         "--max-findings", type=int, default=200, help="cap on reported findings"
     )
 
-    p_li = sub.add_parser(
-        "lint", help="static analysis of the repo's own sources"
-    )
+    p_li = command("lint", _cmd_lint, "static analysis of the repo's own sources")
     p_li.add_argument(
         "paths",
         nargs="*",
@@ -318,12 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="surface annotation-suppressed findings as warnings",
     )
-    p_li.add_argument(
-        "--jsonl",
-        default=None,
-        metavar="PATH",
-        help="write findings as JSON Lines ('-' = stdout)",
-    )
+    _add_jsonl_arg(p_li, "write findings as JSON Lines")
     p_li.add_argument(
         "--state-baseline",
         default=None,
@@ -338,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         " and exit",
     )
 
-    p_sw = sub.add_parser("sweep", help="run a named figure/table sweep")
+    p_sw = command("sweep", _cmd_sweep, "run a named figure/table sweep")
     p_sw.add_argument(
         "--spec",
         required=True,
@@ -347,17 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--workers", type=int, default=1, help="process-pool size (1 = serial)"
     )
-    p_sw.add_argument(
-        "--jsonl",
-        default=None,
-        metavar="PATH",
-        help="also write one RunSummary record per job as JSON Lines ('-' = stdout)",
-    )
+    _add_jsonl_arg(p_sw, "also write one RunSummary record per job as JSON Lines")
     _add_cache_args(p_sw)
     _add_checkpoint_args(p_sw)
 
-    p_sv = sub.add_parser(
-        "serve", help="run the async experiment service (JSON over HTTP)"
+    p_sv = command(
+        "serve", _cmd_serve, "run the async experiment service (JSON over HTTP)"
     )
     p_sv.add_argument("--host", default="127.0.0.1")
     p_sv.add_argument("--port", type=int, default=8787)
@@ -392,27 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(p_sv)
     _add_checkpoint_args(p_sv)
 
-    p_sub = sub.add_parser(
-        "submit", help="submit a workload or sweep to a running service"
+    p_sub = command(
+        "submit", _cmd_submit, "submit a workload or sweep to a running service"
     )
     p_sub.add_argument("--host", default="127.0.0.1")
     p_sub.add_argument("--port", type=int, default=8787)
     p_sub.add_argument(
         "--spec", default=None, help="named sweep (fig1, fig1-tiny, ...)"
     )
-    p_sub.add_argument("--workload", default=None, help="workload kind (rank, cc, ...)")
-    p_sub.add_argument("--backend", default=None, help="backend name")
-    p_sub.add_argument("--n", type=int, default=None, help="problem size")
-    p_sub.add_argument("--p", type=int, default=8, help="processors")
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument(
-        "--param", action="append", default=[], metavar="K=V",
-        help="extra input parameter (repeatable)",
-    )
-    p_sub.add_argument(
-        "--opt", action="append", default=[], metavar="K=V",
-        help="kernel/backend option (repeatable)",
-    )
+    _add_workload_args(p_sub, required=False, p_default=8, backend_default=None)
     p_sub.add_argument("--priority", type=int, default=0)
     p_sub.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -442,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sub.add_argument("--json", action="store_true", help="print the full job view")
 
-    p_ca = sub.add_parser("cache", help="inspect or prune the on-disk result cache")
+    p_ca = command("cache", _cmd_cache, "inspect or prune the on-disk result cache")
     p_ca.add_argument(
         "--cache-dir",
         default=None,
@@ -473,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep at most N bytes of checkpoint artifacts",
     )
 
-    p_ck = sub.add_parser("checkpoint", help="inspect checkpoint artifacts")
+    p_ck = command("checkpoint", _cmd_checkpoint, "inspect checkpoint artifacts")
     ck_sub = p_ck.add_subparsers(dest="ck_command", required=True)
     ck_ls = ck_sub.add_parser("ls", help="list artifacts (headers only)")
     ck_info = ck_sub.add_parser("info", help="dump one artifact's header")
@@ -489,6 +423,48 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     return parser
+
+
+def _add_workload_args(
+    p: argparse.ArgumentParser, *, required: bool, p_default: int, backend_default: str | None
+) -> None:
+    """The workload flags of ``run``, ``analyze`` and ``submit``; read
+    back by :func:`_workload_from_args`."""
+    p.add_argument(
+        "--workload",
+        required=required,
+        help="workload kind (rank, cc, bfs, msf, tree, chase)",
+    )
+    p.add_argument(
+        "--backend",
+        required=required,
+        default=backend_default,
+        help="backend name (see `repro backends`)",
+    )
+    p.add_argument("--n", type=int, default=None, help="problem size")
+    p.add_argument("--p", type=int, default=p_default, help="processors")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="extra input parameter (repeatable), e.g. --param list=ordered",
+    )
+    p.add_argument(
+        "--opt",
+        action="append",
+        default=[],
+        metavar="K=V",
+        help="kernel/backend option (repeatable), e.g. --opt algorithm=wyllie",
+    )
+
+
+def _add_jsonl_arg(p: argparse.ArgumentParser, what: str) -> None:
+    """``--jsonl PATH``, written by :func:`_write_jsonl`."""
+    p.add_argument(
+        "--jsonl", default=None, metavar="PATH", help=f"{what} ('-' = stdout)"
+    )
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
@@ -517,28 +493,60 @@ def _add_checkpoint_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive(flag: str, value):
-    """Reject non-positive count flags with a structured CLI error."""
-    if value is not None and value < 1:
+def _at_least(flag: str, value, floor: int = 1):
+    """Reject a count flag below ``floor`` with a structured CLI error."""
+    if value is not None and value < floor:
         from .errors import ConfigurationError
 
-        raise ConfigurationError(f"{flag} must be >= 1, got {value}")
+        raise ConfigurationError(f"{flag} must be >= {floor}, got {value}")
     return value
 
 
+def _workload_from_args(args):
+    """The :class:`~repro.core.workload.Workload` the workload flags
+    describe (``--n`` fills ``leaves`` for ``tree``, ``n`` otherwise)."""
+    from .core.workload import Workload
+
+    params = _parse_kv(args.param, "--param")
+    if args.n is not None:
+        params.setdefault("leaves" if args.workload == "tree" else "n", args.n)
+    options = _parse_kv(args.opt, "--opt")
+    if _at_least("--shards", getattr(args, "shards", None)) is not None:
+        options.setdefault("shards", args.shards)
+    return Workload(args.workload, args.p, args.seed, params, options)
+
+
 def _checkpoint_spec(args) -> dict | None:
-    """The ``checkpoint=`` spec for run_jobs from CLI flags (or None)."""
-    spec: dict = {}
-    if _positive("--checkpoint-every", getattr(args, "checkpoint_every", None)) is not None:
-        spec["every"] = args.checkpoint_every
-    if getattr(args, "checkpoint_dir", None) is not None:
-        spec["dir"] = args.checkpoint_dir
-    if getattr(args, "resume", None) is not None:
-        spec["resume"] = args.resume
-    return spec or None
+    """The ``checkpoint`` spec (for run_jobs or a submission) from CLI
+    flags, or None; ``run --resume`` and ``submit --resume-from`` both
+    set ``resume``."""
+    spec = {
+        "every": _at_least("--checkpoint-every", getattr(args, "checkpoint_every", None)),
+        "dir": getattr(args, "checkpoint_dir", None),
+        "resume": getattr(args, "resume", getattr(args, "resume_from", None)),
+    }
+    return {k: v for k, v in spec.items() if v is not None} or None
 
 
-def _cmd_info() -> int:
+def _cache_from_flags(args):
+    """The result cache ``--no-cache``/``--cache-dir`` select (False = off)."""
+    from .core.cache import SweepCache
+
+    if getattr(args, "no_cache", False):
+        return False
+    return SweepCache(args.cache_dir or None)
+
+
+def _write_jsonl(dest: str, text: str) -> None:
+    """Write a ``--jsonl`` sink: ``-`` is stdout, anything else a file."""
+    if dest == "-":
+        sys.stdout.write(text)
+    else:
+        with open(dest, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+def _cmd_info(args) -> int:
     print(f"repro {__version__}")
     for cfg in (SUN_E4500, CRAY_MTA2):
         print(f"\n{cfg.name}:")
@@ -767,22 +775,10 @@ def _parse_kv(pairs: list[str], what: str) -> dict:
     return out
 
 
-def _make_cache(args):
-    from .core.cache import SweepCache
-
-    if args.no_cache:
-        return False
-    return SweepCache(args.cache_dir) if args.cache_dir else SweepCache()
-
-
 def _cmd_serve(args) -> int:
     from .service import serve
 
-    cache: bool | str = True
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        cache = args.cache_dir
+    cache = _cache_from_flags(args)
     serve(
         args.host,
         args.port,
@@ -791,7 +787,7 @@ def _cmd_serve(args) -> int:
         dispatchers=args.dispatchers,
         job_workers=args.job_workers,
         default_timeout_s=args.timeout,
-        cache=cache,
+        cache=str(cache.root) if cache else False,
         cache_max_entries=args.cache_max_entries,
         cache_max_bytes=args.cache_max_bytes,
         checkpoint_every=args.checkpoint_every,
@@ -801,40 +797,29 @@ def _cmd_serve(args) -> int:
 
 
 def _submit_body(args) -> dict:
+    """The ``POST /v1/jobs`` body: the workload and checkpoint spec
+    ``run`` would execute, left for the service's parser to validate."""
     from .errors import ConfigurationError
 
     if (args.spec is None) == (args.workload is None):
         raise ConfigurationError(
             "submit needs exactly one of --spec or --workload/--backend"
         )
-    body: dict = {}
     if args.spec is not None:
-        body["spec"] = args.spec
+        body: dict = {"spec": args.spec}
+    elif args.backend is None:
+        raise ConfigurationError("--workload also needs --backend")
     else:
-        if args.backend is None:
-            raise ConfigurationError("--workload also needs --backend")
-        params = _parse_kv(args.param, "--param")
-        if args.n is not None:
-            key = "leaves" if args.workload == "tree" else "n"
-            params.setdefault(key, args.n)
-        body["workload"] = {
-            "kind": args.workload,
-            "p": args.p,
-            "seed": args.seed,
-            "params": params,
-            "options": _parse_kv(args.opt, "--opt"),
-        }
-        body["backend"] = args.backend
+        body = {"workload": _workload_from_args(args).canonical(), "backend": args.backend}
     if args.priority:
         body["priority"] = args.priority
     if args.timeout is not None:
         body["timeout_s"] = args.timeout
     if args.label:
         body["label"] = args.label
-    if _positive("--checkpoint-every", args.checkpoint_every) is not None:
-        body["checkpoint"] = {"every": args.checkpoint_every}
-    if args.resume_from is not None:
-        body["resume_from"] = args.resume_from
+    checkpoint = _checkpoint_spec(args)
+    if checkpoint is not None:
+        body["checkpoint"] = checkpoint
     return body
 
 
@@ -845,16 +830,14 @@ def _cmd_submit(args) -> int:
 
     client = ServiceClient(args.host, args.port)
     view = client.submit(_submit_body(args))
-    if args.no_wait:
-        if args.json:
-            print(json.dumps(view, indent=2, sort_keys=True))
-        else:
-            print(f"{view['id']} {view['state']}")
-        return 0
-    view = client.wait(view["id"], timeout=args.wait_timeout)
+    if not args.no_wait:
+        view = client.wait(view["id"], timeout=args.wait_timeout)
     if args.json:
         print(json.dumps(view, indent=2, sort_keys=True))
-        return 0 if view["state"] == DONE else 2
+        return 0 if args.no_wait or view["state"] == DONE else 2
+    if args.no_wait:
+        print(f"{view['id']} {view['state']}")
+        return 0
     if view["state"] == DONE:
         result = view["result"]
         print(
@@ -872,9 +855,15 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from .core.cache import SweepCache
-
-    cache = SweepCache(args.cache_dir) if args.cache_dir else SweepCache()
+    caps = (args.max_entries, args.max_bytes)
+    ck_caps = (args.max_checkpoints, args.max_checkpoint_bytes)
+    for flag, cap in zip(
+        ("--max-entries", "--max-bytes", "--max-checkpoints", "--max-checkpoint-bytes"),
+        caps + ck_caps,
+        strict=True,
+    ):
+        _at_least(flag, cap, 0)
+    cache = _cache_from_flags(args)
     rows = cache.entries()
     total = sum(size for _, _, size in rows)
     print(f"cache at {cache.root}: {len(rows)} record(s), {total} bytes")
@@ -884,24 +873,17 @@ def _cmd_cache(args) -> int:
             f"checkpoints at {cache.checkpoint_root()}: {len(ckpts)}"
             f" artifact(s), {sum(s for _, _, s in ckpts)} bytes"
         )
-    ck_caps = (args.max_checkpoints, args.max_checkpoint_bytes)
-    if args.prune:
-        max_entries, max_bytes = args.max_entries, args.max_bytes
-        if max_entries is None and max_bytes is None and ck_caps == (None, None):
-            max_entries = 0  # --prune with no caps clears the cache
-        evicted, freed = cache.prune(max_entries=max_entries, max_bytes=max_bytes)
-        print(f"pruned {evicted} record(s), freed {freed} bytes")
-        if ck_caps != (None, None):
-            evicted, freed = cache.prune_checkpoints(
-                max_entries=args.max_checkpoints,
-                max_bytes=args.max_checkpoint_bytes,
-            )
-            print(f"pruned {evicted} checkpoint artifact(s), freed {freed} bytes")
-    elif args.max_entries is not None or args.max_bytes is not None or ck_caps != (
-        None,
-        None,
-    ):
-        print("(caps given without --prune: nothing evicted)")
+    if not args.prune:
+        if caps + ck_caps != (None,) * 4:
+            print("(caps given without --prune: nothing evicted)")
+        return 0
+    if caps == ck_caps == (None, None):
+        caps = (0, None)  # --prune with no caps clears the cache
+    evicted, freed = cache.prune(*caps)
+    print(f"pruned {evicted} record(s), freed {freed} bytes")
+    if ck_caps != (None, None):
+        evicted, freed = cache.prune_checkpoints(*ck_caps)
+        print(f"pruned {evicted} checkpoint artifact(s), freed {freed} bytes")
     return 0
 
 
@@ -991,15 +973,10 @@ def _cmd_xval(args) -> int:
         options,
     )
     job = Job(workload, "cost-xval")
-    [result] = run_jobs([job], workers=1, cache=_make_cache(args))
+    [result] = run_jobs([job], workers=1, cache=_cache_from_flags(args))
     report = DivergenceReport.from_dict(result.detail["xval"])
     if args.jsonl is not None:
-        text = report.jsonl()
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_jsonl(args.jsonl, report.jsonl())
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.jsonl != "-":
@@ -1008,20 +985,14 @@ def _cmd_xval(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .backends import Workload
     from .core.runner import Job, run_jobs
 
-    params = _parse_kv(args.param, "--param")
-    if args.n is not None:
-        key = "leaves" if args.workload == "tree" else "n"
-        params.setdefault(key, args.n)
-    options = _parse_kv(args.opt, "--opt")
-    if _positive("--shards", args.shards) is not None:
-        options.setdefault("shards", args.shards)
-    workload = Workload(args.workload, args.p, args.seed, params, options)
-    job = Job(workload, args.backend)
+    workload = _workload_from_args(args)
     [result] = run_jobs(
-        [job], workers=1, cache=_make_cache(args), checkpoint=_checkpoint_spec(args)
+        [Job(workload, args.backend)],
+        workers=1,
+        cache=_cache_from_flags(args),
+        checkpoint=_checkpoint_spec(args),
     )
     if args.json:
         print(result.jsonl(), end="")
@@ -1040,9 +1011,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _status(report, suppressed: int, what: str) -> str:
+    """A findings report's status line: errors, warnings, suppressions."""
+    status = "clean" if report.ok() else f"{len(report.errors)} error(s)"
+    if report.warnings:
+        status += f", {len(report.warnings)} warning(s)"
+    if suppressed:
+        status += f", {suppressed} annotated {what} suppressed"
+    return status
+
+
 def _cmd_analyze(args) -> int:
     from .analysis import analyze_suite, analyze_workload, dump_jsonl
-    from .backends import Workload
     from .errors import ConfigurationError
 
     if args.all_programs:
@@ -1052,39 +1032,23 @@ def _cmd_analyze(args) -> int:
     else:
         if args.workload is None:
             raise ConfigurationError("analyze needs --workload or --all")
-        params = _parse_kv(args.param, "--param")
-        if args.n is not None:
-            key = "leaves" if args.workload == "tree" else "n"
-            params.setdefault(key, args.n)
-        workload = Workload(
-            args.workload, args.p, args.seed, params, _parse_kv(args.opt, "--opt")
-        )
         report = analyze_workload(
-            workload, args.backend, strict=args.strict,
+            _workload_from_args(args), args.backend, strict=args.strict,
             max_findings=args.max_findings,
         )
         named = [(f"{args.workload}/{args.backend}", report)]
 
     findings = [f for _, report in named for f in report.findings]
     if args.jsonl is not None:
-        text = dump_jsonl(findings)
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_jsonl(args.jsonl, dump_jsonl(findings))
 
     errors = 0
     for name, report in named:
         s = report.stats
         fa = s.get("fa", {})
-        status = "clean" if report.ok() else f"{len(report.errors)} error(s)"
-        if report.warnings:
-            status += f", {len(report.warnings)} warning(s)"
-        suppressed = s.get("suppressed_races", 0)
-        note = f", {suppressed} annotated race(s) suppressed" if suppressed else ""
+        status = _status(report, s.get("suppressed_races", 0), "race(s)")
         print(
-            f"{name}: {status}{note}  "
+            f"{name}: {status}  "
             f"[{s.get('ops', 0)} ops, {s.get('threads', 0)} threads, "
             f"{len(s.get('runs', []))} run(s), FA top-share {fa.get('top_share', 0.0):.0%}]"
         )
@@ -1096,8 +1060,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import os as _os
-
     from .analysis import dump_jsonl
     from .analysis.static import (
         STATE_BASELINE_PATH,
@@ -1107,7 +1069,7 @@ def _cmd_lint(args) -> int:
     )
 
     if args.write_state_baseline:
-        path = args.state_baseline or _os.path.join(repo_root(), STATE_BASELINE_PATH)
+        path = args.state_baseline or os.path.join(repo_root(), STATE_BASELINE_PATH)
         text = collect_state_baseline(args.paths)
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
@@ -1121,20 +1083,11 @@ def _cmd_lint(args) -> int:
         state_baseline_path=args.state_baseline,
     )
     if args.jsonl is not None:
-        text = dump_jsonl(report.findings)
-        if args.jsonl == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                f.write(text)
+        _write_jsonl(args.jsonl, dump_jsonl(report.findings))
 
     s = report.stats
-    status = "clean" if report.ok() else f"{len(report.errors)} error(s)"
-    if report.warnings:
-        status += f", {len(report.warnings)} warning(s)"
-    suppressed = s.get("suppressed_findings", 0)
-    note = f", {suppressed} annotated finding(s) suppressed" if suppressed else ""
-    print(f"lint: {status}{note}  [{s.get('files', 0)} file(s)]")
+    status = _status(report, s.get("suppressed_findings", 0), "finding(s)")
+    print(f"lint: {status}  [{s.get('files', 0)} file(s)]")
     if args.jsonl != "-":
         for f in report.findings:
             print(f"  {f.render()}")
@@ -1146,8 +1099,8 @@ def _cmd_sweep(args) -> int:
     from .workloads import jobs_for
 
     jobs = jobs_for(args.spec)
-    _positive("--workers", args.workers)
-    cache = _make_cache(args)
+    _at_least("--workers", args.workers)
+    cache = _cache_from_flags(args)
     results = run_jobs(
         jobs, workers=args.workers, cache=cache, checkpoint=_checkpoint_spec(args)
     )
@@ -1165,56 +1118,17 @@ def _cmd_sweep(args) -> int:
         print(f"{cells}  {r.seconds:>14.6e}  {r.utilization:>11.4f}")
 
     if args.jsonl is not None:
-        if args.jsonl == "-":
-            sys.stdout.write(write_jsonl(results))
-        else:
-            with open(args.jsonl, "w", encoding="utf-8") as f:
-                write_jsonl(results, f)
-    if cache is not False and cache is not None:
+        _write_jsonl(args.jsonl, write_jsonl(results))
+    if cache:
         print(cache.stats_line(), file=sys.stderr)
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "info":
-            return _cmd_info()
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "cc":
-            return _cmd_cc(args)
-        if args.command == "fig1":
-            return _cmd_fig1(args)
-        if args.command == "fig2":
-            return _cmd_fig2(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "backends":
-            return _cmd_backends(args)
-        if args.command == "xval":
-            return _cmd_xval(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "checkpoint":
-            return _cmd_checkpoint(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1224,4 +1138,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    return 0

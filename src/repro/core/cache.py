@@ -65,6 +65,15 @@ def default_cache_root() -> Path:
     return Path(env) if env else Path(".repro-cache")
 
 
+def _check_caps(max_entries: int | None, max_bytes: int | None) -> None:
+    """A negative cap would evict everything: reject it."""
+    for name, cap in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+        if cap is not None and cap < 0:
+            from ..errors import ConfigurationError
+
+            raise ConfigurationError(f"{name} must be >= 0, got {cap}")
+
+
 class SweepCache:
     """Sha-keyed store of finished job records.
 
@@ -86,11 +95,7 @@ class SweepCache:
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ):
-        for name, cap in (("max_entries", max_entries), ("max_bytes", max_bytes)):
-            if cap is not None and cap < 0:
-                from ..errors import ConfigurationError
-
-                raise ConfigurationError(f"{name} must be >= 0, got {cap}")
+        _check_caps(max_entries, max_bytes)
         self.root = Path(root) if root is not None else default_cache_root()
         self.max_entries = max_entries
         self.max_bytes = max_bytes
@@ -201,25 +206,7 @@ class SweepCache:
             max_entries = self.max_entries
         if max_bytes is None:
             max_bytes = self.max_bytes
-        if max_entries is None and max_bytes is None:
-            return (0, 0)
-        rows = self.entries()
-        total = sum(size for _, _, size in rows)
-        evicted = freed = 0
-        for path, _, size in rows:
-            over_count = max_entries is not None and len(rows) - evicted > max_entries
-            over_bytes = max_bytes is not None and total > max_bytes
-            if not over_count and not over_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue  # lost a race with another process — already gone
-            evicted += 1
-            freed += size
-            total -= size
-        self.evictions += evicted
-        return (evicted, freed)
+        return self._evict(self.entries, max_entries, max_bytes)
 
     # -- checkpoint artifacts ----------------------------------------------------
     #
@@ -229,9 +216,10 @@ class SweepCache:
     # imports the simulator.
 
     def checkpoint_root(self) -> Path:
-        """Where this cache's checkpoint artifacts live
-        (``$REPRO_CHECKPOINT_DIR`` wins, matching
-        :func:`repro.sim.checkpoint.default_checkpoint_root`)."""
+        """Where this cache's checkpoint artifacts live:
+        ``$REPRO_CHECKPOINT_DIR`` when set, else ``<root>/checkpoints``.
+        This is the one rule; :func:`repro.sim.checkpoint.default_checkpoint_root`
+        and :func:`repro.core.runner.run_jobs` defer to it."""
         env = os.environ.get("REPRO_CHECKPOINT_DIR")  # allow_nondet: artifact location only, never results
         return Path(env) if env else self.root / "checkpoints"
 
@@ -257,9 +245,16 @@ class SweepCache:
         """Evict oldest checkpoint artifacts until the store fits the
         caps; counts into ``evictions``.  Returns ``(evicted, freed)``.
         """
+        return self._evict(self.checkpoint_entries, max_entries, max_bytes)
+
+    def _evict(self, list_rows, max_entries, max_bytes) -> tuple[int, int]:
+        """Unlink the oldest of ``list_rows()`` until both caps hold
+        (``None`` = no cap); counts into ``evictions``.  Returns
+        ``(evicted, freed_bytes)``."""
+        _check_caps(max_entries, max_bytes)
         if max_entries is None and max_bytes is None:
             return (0, 0)
-        rows = self.checkpoint_entries()
+        rows = list_rows()
         total = sum(size for _, _, size in rows)
         evicted = freed = 0
         for path, _, size in rows:
@@ -270,7 +265,7 @@ class SweepCache:
             try:
                 os.unlink(path)
             except OSError:
-                continue
+                continue  # lost a race with another process — already gone
             evicted += 1
             freed += size
             total -= size

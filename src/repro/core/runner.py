@@ -244,7 +244,10 @@ def run_jobs(
         Optional checkpoint spec ``{"every": N, "dir": path, "resume":
         ref}`` injected into each job's workload as the ``checkpoint``
         option (keyed by the job's cache key, so a resubmitted sweep
-        resumes each job's newest artifact).  Cache keys and cached
+        resumes each job's newest artifact).  Without a ``dir``, the
+        artifacts go to the cache's
+        :meth:`~repro.core.cache.SweepCache.checkpoint_root`, where
+        ``repro cache`` counts and prunes them.  Cache keys and cached
         records are unaffected — a resumed job is byte-identical to an
         uninterrupted one.  With serial execution the ``cancel`` hook is
         additionally polled *inside* runs at snapshot boundaries, so a
@@ -258,10 +261,15 @@ def run_jobs(
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
 
+    if checkpoint is not None:
+        checkpoint = {k: v for k, v in dict(checkpoint).items() if not k.startswith("_")}
+        if cache is not None and not checkpoint.get("dir"):
+            checkpoint["dir"] = str(cache.checkpoint_root())
+
     def _payload(i: int) -> dict:
         payload = jobs[i].payload()
         if checkpoint is not None:
-            spec = {k: v for k, v in dict(checkpoint).items() if not k.startswith("_")}
+            spec = dict(checkpoint)
             spec.setdefault("key", jobs[i].key())
             options = dict(payload["workload"]["options"])
             options["checkpoint"] = spec

@@ -106,13 +106,11 @@ def component_digests(machine_module: str) -> dict:
 
 
 def default_checkpoint_root() -> Path:
-    """``$REPRO_CHECKPOINT_DIR``, or ``<cache root>/checkpoints``."""
-    env = os.environ.get("REPRO_CHECKPOINT_DIR")  # allow_nondet: artifact location only, never results
-    if env:
-        return Path(env)
-    from ..core.cache import default_cache_root
+    """``$REPRO_CHECKPOINT_DIR``, or ``<cache root>/checkpoints`` — the
+    default cache's :meth:`~repro.core.cache.SweepCache.checkpoint_root`."""
+    from ..core.cache import SweepCache
 
-    return default_cache_root() / "checkpoints"
+    return SweepCache().checkpoint_root()
 
 
 # -- artifact codec -------------------------------------------------------------

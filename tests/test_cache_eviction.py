@@ -129,3 +129,31 @@ class TestCacheCli:
         ) == 0
         assert "nothing evicted" in capsys.readouterr().out
         assert len(SweepCache(tmp_path).entries()) == 4
+
+
+class TestNegativeCaps:
+    """A negative cap would evict everything; it is rejected instead."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-entries", "--max-bytes", "--max-checkpoints", "--max-checkpoint-bytes"]
+    )
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_cli_rejects_negative_cap(self, flag, prune, tmp_path, capsys):
+        _fill(SweepCache(tmp_path), 2)
+        argv = ["cache", "--cache-dir", str(tmp_path), flag, "-3"]
+        assert main(argv + (["--prune"] if prune else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got -3\n"
+        assert len(SweepCache(tmp_path).entries()) == 2
+
+    @pytest.mark.parametrize("caps", [{"max_entries": -1}, {"max_bytes": -1}])
+    def test_prune_rejects_negative_caps(self, caps, tmp_path):
+        cache = SweepCache(tmp_path)
+        _fill(cache, 2)
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            cache.prune(**caps)
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            cache.prune_checkpoints(**caps)
+        assert len(cache.entries()) == 2
+

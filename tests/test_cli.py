@@ -317,3 +317,150 @@ class TestShardedRun:
         assert detail["shards"] == 2
         assert detail["shard"]["msgs_sent"] > 0
         assert record["workload"]["options"]["shards"] == 2
+
+
+def _subcommands(parser):
+    import argparse
+
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestCommandTable:
+    """Every subcommand is declared once, with its handler."""
+
+    def test_every_command_has_help_and_a_handler(self, capsys):
+        parser = build_parser()
+        commands = _subcommands(parser)
+        assert len(commands) == 17
+        for name, sub in commands.items():
+            assert callable(sub.get_default("func")), name
+            argvs = [[name, "--help"]]
+            if name == "checkpoint":
+                argvs += [[name, ck, "--help"] for ck in _subcommands(sub)]
+            for argv in argvs:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 0, argv
+                assert "usage: repro" in capsys.readouterr().out
+
+
+class _FakeClient:
+    """Stands in for ServiceClient: records the body ``submit`` posts."""
+
+    bodies: list = []
+
+    def __init__(self, host, port):
+        pass
+
+    def submit(self, body):
+        self.bodies.append(body)
+        return {"id": "job-1", "state": "queued"}
+
+
+class TestSubmitParity:
+    """``submit`` posts exactly the job ``run`` executes."""
+
+    @pytest.fixture
+    def posted(self, monkeypatch):
+        import repro.service
+
+        monkeypatch.setattr(_FakeClient, "bodies", [])
+        monkeypatch.setattr(repro.service, "ServiceClient", _FakeClient)
+        return _FakeClient.bodies
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workload", "rank", "--backend", "smp-model", "--n", "256",
+             "--p", "2", "--param", "list=ordered", "--opt", "algorithm=wyllie"],
+            ["--workload", "tree", "--backend", "mta-model", "--n", "64", "--seed", "3"],
+            ["--workload", "cc", "--backend", "smp-model", "--n", "128",
+             "--param", "m=512"],
+        ],
+    )
+    def test_same_job_key_as_run(self, flags, posted, tmp_path, capsys):
+        from repro.core import SweepCache
+        from repro.service.protocol import parse_submission
+
+        assert main(["submit", *flags, "--no-wait"]) == 0
+        assert capsys.readouterr().out == "job-1 queued\n"
+        [body] = posted
+        key = parse_submission(body).jobs[0].key()
+        assert main(["run", *flags, "--cache-dir", str(tmp_path)]) == 0
+        [(path, _, _)] = SweepCache(tmp_path).entries()
+        assert path.stem == key
+
+    def test_checkpoint_flags_parse_as_before(self, posted, capsys):
+        from repro.service.protocol import parse_submission
+
+        assert main(
+            ["submit", "--workload", "rank", "--backend", "smp-engine", "--n", "64",
+             "--checkpoint-every", "500", "--resume-from", "abc123", "--no-wait"]
+        ) == 0
+        [body] = posted
+        # the shape the CLI posted before: every in checkpoint, resume_from beside it
+        before = dict(body, checkpoint={"every": 500}, resume_from="abc123")
+        parsed = parse_submission(body).checkpoint
+        assert parsed == parse_submission(before).checkpoint
+        assert parsed == {"every": 500, "resume": "abc123"}
+
+    def test_plain_submission_has_no_checkpoint(self, posted, capsys):
+        assert main(["submit", "--spec", "fig1-tiny", "--no-wait"]) == 0
+        assert posted == [{"spec": "fig1-tiny"}]
+
+
+class TestMalformedNumbers:
+    """Bad integer params/options are structured errors, never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workload", "rank", "--backend", "smp-model", "--param", "n=abc"],
+             "param 'n' must be an integer, got 'abc'"),
+            (["--workload", "rank", "--backend", "smp-model", "--param", "n=true"],
+             "param 'n' must be an integer, got True"),
+            (["--workload", "cc", "--backend", "smp-model", "--n", "64",
+              "--param", "m=x"],
+             "param 'm' must be an integer"),
+            (["--workload", "tree", "--backend", "smp-model", "--param", "leaves=1.5"],
+             "param 'leaves' must be an integer, got 1.5"),
+            (["--workload", "cc", "--backend", "smp-model"],
+             "missing param 'n'"),
+            (["--workload", "rank", "--backend", "smp-engine", "--n", "64",
+              "--opt", "s=abc"],
+             "option 's' must be an integer"),
+            (["--workload", "rank", "--backend", "mta-engine", "--n", "64",
+              "--opt", "streams_per_proc=x"],
+             "option 'streams_per_proc' must be an integer"),
+        ],
+    )
+    def test_exit_2_with_an_error_line(self, flags, message, capsys):
+        assert main(["run", *flags, "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+class TestCheckpointRoot:
+    def test_artifacts_land_under_the_cache_in_use(self, tmp_path, monkeypatch, capsys):
+        from repro.core import SweepCache
+
+        monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        cache_dir = tmp_path / "D"
+        assert main(
+            ["run", "--workload", "rank", "--backend", "smp-engine", "--n", "400",
+             "--p", "2", "--checkpoint-every", "200", "--cache-dir", str(cache_dir)]
+        ) == 0
+        assert not (tmp_path / ".repro-cache").exists()
+        count = len(SweepCache(cache_dir).checkpoint_entries())
+        assert count >= 1
+        capsys.readouterr()
+        assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+        assert f": {count} artifact(s)" in capsys.readouterr().out
+        assert main(
+            ["cache", "--cache-dir", str(cache_dir), "--prune", "--max-checkpoints", "0"]
+        ) == 0
+        assert f"pruned {count} checkpoint artifact(s)" in capsys.readouterr().out
