@@ -62,8 +62,10 @@ field overrides for the SMP engine; ``collect_phases`` is implicit
 from __future__ import annotations
 
 import dataclasses
+import inspect
+from collections.abc import Mapping
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, require_positive
 from .base import Backend, RunHandle, int_value
 
 __all__ = [
@@ -168,7 +170,7 @@ class MTAEngineBackend(Backend):
             return self._execute_sharded(handle, shard)
         if workload.kind == "chase":
             return self._execute_chase(handle, check, attach_summary)
-        engine_kwargs = dict(opt.get("engine_kwargs") or {})
+        engine_kwargs = _engine_kwargs(workload, self.engine_factory)
         engine_kwargs.setdefault("tier", _resolve_tier(workload, check))
         session = _resolve_session(workload, self.name, check)
         if workload.kind == "rank":
@@ -232,7 +234,7 @@ class MTAEngineBackend(Backend):
                 executor=shard["executor"],
                 builder=_chase_builder,
                 builder_args=(int(handle.meta.get("chasers", 1)),
-                              int_value(opt, "steps", 40, option=True), workload.p),
+                              _chase_steps(opt), workload.p),
                 base=base,
                 params=_chase_params(opt),
                 remote_latency=shard["remote_latency"],
@@ -255,7 +257,7 @@ class MTAEngineBackend(Backend):
                 )
             from ..graphs.shard_programs import simulate_sharded_cc
 
-            params = dict(opt.get("engine_kwargs") or {})
+            params = _engine_kwargs(workload, self.engine_factory)
             params.pop("tier", None)
             sim = simulate_sharded_cc(
                 handle.data,
@@ -289,7 +291,7 @@ class MTAEngineBackend(Backend):
 
         workload = handle.workload
         opt = workload.options
-        steps = int_value(opt, "steps", 40, option=True)
+        steps = _chase_steps(opt)
         engine = self.engine_factory or MTAEngine
         session = _resolve_session(workload, self.name, check)
         eng = engine(
@@ -319,6 +321,13 @@ def _chase_params(opt) -> dict:
         "mem_latency": int_value(opt, "mem_latency", 100, option=True),
         "lookahead": int_value(opt, "lookahead", 2, option=True),
     }
+
+
+def _chase_steps(opt) -> int:
+    """Instructions per chaser (``steps``); a chase needs at least one."""
+    steps = int_value(opt, "steps", 40, option=True)
+    require_positive(steps=steps)
+    return steps
 
 
 def _chaser(steps: int):
@@ -354,6 +363,29 @@ class ModelEngineBackend(MTAEngineBackend):
         self.name = name
         self.description = description
         self.engine_factory = engine_factory
+
+
+def _engine_kwargs(workload, engine_factory) -> dict:
+    """The ``engine_kwargs`` option as a fresh dict, checked against the
+    machine's constructor: a non-mapping value or an unknown key is a
+    :class:`~repro.errors.ConfigurationError`, not a ``TypeError``."""
+    raw = workload.option("engine_kwargs") or {}
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(
+            f"option 'engine_kwargs' must be a mapping of machine parameters,"
+            f" got {raw!r}"
+        )
+    from ..sim import MTAEngine
+
+    machine = (engine_factory or MTAEngine).machine_class
+    known = set(inspect.signature(machine).parameters) - {"p"}
+    unknown = sorted(set(raw) - known - {"tier"})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown engine_kwargs key(s) {', '.join(map(repr, unknown))} for"
+            f" {machine.__name__}; expected some of: tier, {', '.join(sorted(known))}"
+        )
+    return dict(raw)
 
 
 def _resolve_shards(workload):

@@ -21,6 +21,18 @@ class ConfigurationError(ReproError):
     """
 
 
+def require_positive(**knobs) -> None:
+    """Raise :class:`ConfigurationError` naming the first knob below 1.
+
+    For program knobs where zero or a negative value has no meaning
+    (a chunk size, a stream count): rejecting it beats clamping it
+    silently, and a zero-size fetch-add chunk would never terminate.
+    """
+    for key, value in knobs.items():
+        if value < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {value}")
+
+
 class WorkloadError(ReproError):
     """A workload (list or graph) is malformed.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch.memory import AddressSpace
-from ..errors import ConfigurationError, SimulationError, WorkloadError
+from ..errors import ConfigurationError, SimulationError, WorkloadError, require_positive
 from ..sim import isa
 from ..sim.branch import OneBitPredictor, penalty_ops
 from ..sim.mta_engine import MTAEngine
@@ -124,6 +124,7 @@ def simulate_mta_cc(
     n = g.n
     if n == 0:
         raise WorkloadError("empty graph")
+    require_positive(streams_per_proc=streams_per_proc, edges_per_chunk=edges_per_chunk)
     sym = g.symmetrized()
     eu = sym.u.tolist()
     ev = sym.v.tolist()
@@ -138,7 +139,7 @@ def simulate_mta_cc(
     d = list(range(n))
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
-    kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
+    kw.setdefault("streams_per_proc", streams_per_proc)
     kw.setdefault("tracer", tracer)
     kw.setdefault("check", check)
     kw.setdefault("session", session)

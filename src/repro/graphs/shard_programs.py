@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SimulationError, WorkloadError
+from ..errors import SimulationError, WorkloadError, require_positive
 from ..sim import isa
 from ..sim.stats import combine_reports
 from .edgelist import EdgeList
@@ -253,6 +253,7 @@ def simulate_sharded_cc(
         raise WorkloadError(f"p={p} must be >= shards={k}")
     if n < k:
         raise WorkloadError(f"n={n} must be >= shards={k}")
+    require_positive(streams_per_proc=streams_per_proc, edges_per_chunk=edges_per_chunk)
     sym = g.symmetrized()
     eu = sym.u.tolist()
     ev = sym.v.tolist()
@@ -262,14 +263,14 @@ def simulate_sharded_cc(
     vb, eb, _, pb = layout
     plan = PartitionPlan(bounds[-1], p, k, addr_bounds=bounds, proc_bounds=pb)
     params = dict(params or {})
-    params.setdefault("streams_per_proc", max(int(streams_per_proc), 1))
+    params.setdefault("streams_per_proc", int(streams_per_proc))
     if k > 1 and params.get("n_banks"):
         # run_sharded rejects it too; this is the workload-level error
         raise WorkloadError(
             "bank modeling (n_banks) is incompatible with sharding:"
             " shard timing needs the flat hashed-memory model"
         )
-    chunk = max(int(edges_per_chunk), 1)
+    chunk = int(edges_per_chunk)
     vchunk = max(4, chunk)
     graft_w = [max(1, min((pb[j + 1] - pb[j]) * params["streams_per_proc"],
                           eb[j + 1] - eb[j])) for j in range(k)]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..arch.memory import AddressSpace
-from ..errors import WorkloadError
+from ..errors import WorkloadError, require_positive
 from ..sim import isa
 from ..sim.mta_engine import MTAEngine
 from ..sim.smp_engine import SMPEngine
@@ -130,8 +130,9 @@ def simulate_mta_list_ranking(
     n = len(nxt)
     if n == 0:
         raise WorkloadError("empty list")
+    require_positive(streams_per_proc=streams_per_proc, nodes_per_walk=nodes_per_walk)
     head = head_of(nxt)
-    nwalks = max(1, n // max(1, nodes_per_walk))
+    nwalks = max(1, n // nodes_per_walk)
     heads = _select_walk_heads(n, head, nwalks)
     w = len(heads)
     n_workers = min(p * streams_per_proc, w)
@@ -158,7 +159,7 @@ def simulate_mta_list_ranking(
     reports: list[SimReport] = []
     eng_cls = engine if engine is not None else MTAEngine
     kw = dict(engine_kwargs or {})
-    kw.setdefault("streams_per_proc", max(streams_per_proc, 1))
+    kw.setdefault("streams_per_proc", streams_per_proc)
     kw.setdefault("tracer", tracer)
     kw.setdefault("check", check)
     kw.setdefault("session", session)
@@ -340,6 +341,7 @@ def simulate_smp_list_ranking(
     rng = np.random.default_rng(rng)
     if s is None:
         s = 8 * p
+    require_positive(s=s)
     head = head_of(nxt)
     subheads = _select_subheads(n, head, s, rng)
     s_eff = len(subheads)

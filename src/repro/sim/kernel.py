@@ -187,7 +187,7 @@ class MachineModel:
         """Handle a ``B`` op when :attr:`owns_barriers` is True.
 
         The issue slot is already charged; the model must park ``t``
-        (and eventually wake it via ``kernel.block_until``)."""
+        (and eventually wake it via ``kernel.release_barrier``)."""
         raise ConfigurationError(f"{self.kind} does not own barriers")
 
     def report_detail(self, kernel: "SimKernel") -> dict:
@@ -1308,28 +1308,37 @@ class SimKernel:
         t.wait_key = bid
         b.waiting.append(t)
         if len(b.waiting) == b.need:
-            h_release = self._h_release
-            if h_release is not None:
-                tids = [w.tid for w in b.waiting]
-                for fn in h_release:
-                    fn(bid, tids)
-            release = cycle + self.model.barrier_release_cost()
-            stats = self.barrier_stats.get(bid)
-            if stats is None:
-                stats = self.barrier_stats[bid] = [0, 0, 0]
-            h_span = self._h_span
-            for w in b.waiting:
-                wait = release - w.wait_since
-                stats[0] += 1
-                stats[1] += wait
-                if wait > stats[2]:
-                    stats[2] = wait
-                if h_span is not None:
-                    for fn in h_span:
-                        fn(f"B:{bid}", w.wait_since, release, w.proc, w.tid, None)
-                w.wait_key = None
-                self.block_until(w, release)
+            self.release_barrier(
+                bid, b.waiting, cycle + self.model.barrier_release_cost()
+            )
             b.waiting = []
+
+    def release_barrier(self, bid: str, waiting: list, release: int) -> None:
+        """Wake the ``waiting`` arrivals of barrier ``bid`` at cycle
+        ``release`` (interleaved mode): fires the release hook and folds
+        each wait into :attr:`barrier_stats`.  Machines that own their
+        barriers (:attr:`MachineModel.owns_barriers`) release through
+        here too, so the statistics arithmetic exists once."""
+        h_release = self._h_release
+        if h_release is not None:
+            tids = [w.tid for w in waiting]
+            for fn in h_release:
+                fn(bid, tids)
+        stats = self.barrier_stats.get(bid)
+        if stats is None:
+            stats = self.barrier_stats[bid] = [0, 0, 0]
+        h_span = self._h_span
+        for w in waiting:
+            wait = release - w.wait_since
+            stats[0] += 1
+            stats[1] += wait
+            if wait > stats[2]:
+                stats[2] = wait
+            if h_span is not None:
+                for fn in h_span:
+                    fn(f"B:{bid}", w.wait_since, release, w.proc, w.tid, None)
+            w.wait_key = None
+            self.block_until(w, release)
 
     # -- diagnosis --------------------------------------------------------------
 

@@ -83,6 +83,14 @@ class MTAMachine(MachineModel):
             raise ConfigurationError("streams_per_proc must be >= 1")
         if mem_latency < 1:
             raise ConfigurationError("mem_latency must be >= 1")
+        if lookahead < 0:
+            raise ConfigurationError(f"lookahead must be >= 0, got {lookahead}")
+        if max_outstanding < 1:
+            raise ConfigurationError(f"max_outstanding must be >= 1, got {max_outstanding}")
+        if barrier_latency < 0:
+            raise ConfigurationError(f"barrier_latency must be >= 0, got {barrier_latency}")
+        if not clock_hz > 0:
+            raise ConfigurationError(f"clock_hz must be > 0, got {clock_hz}")
         if n_banks and (n_banks < 1 or (n_banks & (n_banks - 1)) != 0):
             raise ConfigurationError(f"n_banks must be 0 or a power of two, got {n_banks}")
         self.p = p
@@ -156,31 +164,38 @@ class MTAMachine(MachineModel):
         self._bank_next_free[bank] = done
         return done
 
-    # -- full/empty semantics ---------------------------------------------------
+    # -- memory rules (shared with the sharded machine's owner side) -----------
+
+    def _fetch_add(self, addr: int, inc: int, cycle: int) -> tuple:
+        """Apply one ``int_fetch_add`` at its cell, issued at ``cycle``.
+
+        The cell services one request per cycle, so concurrent FAs to
+        one counter serialize.  Returns ``(old, done, stall)``.
+        """
+        fa_values = self.fa_values
+        old = fa_values.get(addr, 0)
+        fa_values[addr] = old + inc
+        earliest = cycle + self.mem_latency
+        done = self._fa_next_free.get(addr, 0) + 1
+        if done < earliest:
+            done = earliest
+        stall = done - earliest
+        self.fa_serialization_stalls += stall
+        site = self._fa_sites.get(addr)
+        if site is None:
+            site = self._fa_sites[addr] = [0, 0]
+        site[0] += 1
+        site[1] += stall
+        self._fa_next_free[addr] = done
+        return old, done, stall
 
     def _fill(self, kernel: SimKernel, addr: int, value, cycle: int) -> None:
         """Set a word Full and service waiting sync-loads FIFO."""
         full = self._full
         full[addr] = value
         waiters = self._wait_full.get(addr)
-        mem_latency = self.mem_latency
         while waiters and addr in full:
-            w = waiters.popleft()
-            mode = w.pending_value
-            w.pending_value = full[addr]
-            h_sync = kernel._h_sync
-            if h_sync is not None:
-                consume = mode == SYNC_LOAD_EMPTY
-                for fn in h_sync:
-                    fn(w.tid, addr, "read", consume)
-            self._fe_wait(w.wait_since, cycle)
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(f"{mode}:wait", w.wait_since, cycle + mem_latency,
-                       w.proc, w.tid, {"addr": addr})
-            kernel.block_until(w, cycle + mem_latency)
-            if mode == SYNC_LOAD_EMPTY:
+            if self._wake_reader(kernel, waiters.popleft(), addr, full[addr], cycle):
                 del full[addr]
                 self._drain_empty_waiters(kernel, addr, cycle)
 
@@ -188,32 +203,92 @@ class MTAMachine(MachineModel):
         """A word just became Empty: let one waiting producer store."""
         waiters = self._wait_empty.get(addr)
         if waiters and addr not in self._full:
-            w = waiters.popleft()
-            value = w.pending_value
-            w.pending_value = None
-            h_sync = kernel._h_sync
-            if h_sync is not None:
-                for fn in h_sync:
-                    fn(w.tid, addr, "write", False)
-            self._fe_wait(w.wait_since, cycle)
+            value = self._wake_writer(kernel, waiters.popleft(), addr, cycle)
+            self._fill(kernel, addr, value, cycle)
+
+    def _wake_reader(self, kernel: SimKernel, w, addr: int, value, cycle: int) -> bool:
+        """Hand a Full word's value to one parked sync-load; True when
+        the load consumes the word (``SLE``)."""
+        mode = w.pending_value
+        w.pending_value = value
+        h_sync = kernel._h_sync
+        if h_sync is not None:
+            consume = mode == SYNC_LOAD_EMPTY
+            for fn in h_sync:
+                fn(w.tid, addr, "read", consume)
+        self._fe_wait(w.wait_since, cycle)
+        h_span = kernel._h_span
+        if h_span is not None:
+            for fn in h_span:
+                fn(f"{mode}:wait", w.wait_since, cycle + self.mem_latency,
+                   w.proc, w.tid, {"addr": addr})
+        kernel.block_until(w, cycle + self.mem_latency)
+        return mode == SYNC_LOAD_EMPTY
+
+    def _wake_writer(self, kernel: SimKernel, w, addr: int, cycle: int):
+        """Let one parked sync-store write an Empty word; returns its value."""
+        value = w.pending_value
+        w.pending_value = None
+        h_sync = kernel._h_sync
+        if h_sync is not None:
+            for fn in h_sync:
+                fn(w.tid, addr, "write", False)
+        self._fe_wait(w.wait_since, cycle)
+        h_span = kernel._h_span
+        if h_span is not None:
+            for fn in h_span:
+                fn("SSF:wait", w.wait_since, cycle + self.mem_latency,
+                   w.proc, w.tid, {"addr": addr})
+        kernel.block_until(w, cycle + self.mem_latency)
+        return value
+
+    def _ref_handler(self, kernel: SimKernel, done_at):
+        """Handler for a non-blocking reference completing at
+        ``done_at(addr, cycle)``: the stream keeps issuing on its
+        lookahead credit until ``max_outstanding`` refs are in flight."""
+        max_outstanding = self.max_outstanding
+        block_until = kernel.block_until
+
+        def h_ref(proc, t, op, cycle):
+            done = done_at(op[1], cycle)
             h_span = kernel._h_span
             if h_span is not None:
                 for fn in h_span:
-                    fn("SSF:wait", w.wait_since, cycle + self.mem_latency,
-                       w.proc, w.tid, {"addr": addr})
-            kernel.block_until(w, cycle + self.mem_latency)
-            self._fill(kernel, addr, value, cycle)
+                    fn(op[0], cycle, done, t.proc, t.tid, {"addr": op[1]})
+            out = t.outstanding
+            out.append(done)
+            if len(out) > max_outstanding:
+                block_until(t, out.popleft())
+            elif t.lookahead_credit > 0:
+                t.lookahead_credit -= 1
+                proc.ready.append(t)
+            else:
+                block_until(t, out[0])
+
+        return h_ref
+
+    def _dep_handler(self, kernel: SimKernel, done_at):
+        """Handler for a dependent load completing at ``done_at(addr,
+        cycle)``: the stream waits for the value."""
+        block_until = kernel.block_until
+
+        def h_dep(proc, t, op, cycle):
+            done = done_at(op[1], cycle)
+            h_span = kernel._h_span
+            if h_span is not None:
+                for fn in h_span:
+                    fn(op[0], cycle, done, t.proc, t.tid, {"addr": op[1]})
+            block_until(t, done)
+
+        return h_dep
 
     # -- dispatch table ---------------------------------------------------------
 
     def handlers(self, kernel: SimKernel) -> dict:
         """Interleaved-mode handlers: ``(proc, thread, op, cycle)``."""
         mem_latency = self.mem_latency
-        max_outstanding = self.max_outstanding
         block_until = kernel.block_until
-        fa_values = self.fa_values
-        fa_next_free = self._fa_next_free
-        fa_sites = self._fa_sites
+        fetch_add = self._fetch_add
         full = self._full
         wait_full = self._wait_full
         wait_empty = self._wait_empty
@@ -234,47 +309,11 @@ class MTAMachine(MachineModel):
                     fn("C", cycle, cycle + k, t.proc, t.tid, None)
             proc.ready.append(t)
 
-        def h_mem(proc, t, op, cycle):
-            done_at = mem_done(op[1], cycle)
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(op[0], cycle, done_at, t.proc, t.tid, {"addr": op[1]})
-            out = t.outstanding
-            out.append(done_at)
-            if len(out) > max_outstanding:
-                block_until(t, out.popleft())
-            elif t.lookahead_credit > 0:
-                t.lookahead_credit -= 1
-                proc.ready.append(t)
-            else:
-                block_until(t, out[0])
-
-        def h_load_dep(proc, t, op, cycle):
-            done_at = mem_done(op[1], cycle)
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(LOAD_DEP, cycle, done_at, t.proc, t.tid, {"addr": op[1]})
-            block_until(t, done_at)
+        h_mem = self._ref_handler(kernel, mem_done)
 
         def h_fetch_add(proc, t, op, cycle):
             addr = op[1]
-            inc = op[2] if len(op) > 2 else 1
-            old = fa_values.get(addr, 0)
-            fa_values[addr] = old + inc
-            earliest = cycle + mem_latency
-            done_at = fa_next_free.get(addr, 0) + 1
-            if done_at < earliest:
-                done_at = earliest
-            stall = done_at - earliest
-            self.fa_serialization_stalls += stall
-            site = fa_sites.get(addr)
-            if site is None:
-                site = fa_sites[addr] = [0, 0]
-            site[0] += 1
-            site[1] += stall
-            fa_next_free[addr] = done_at
+            old, done_at, stall = fetch_add(addr, op[2] if len(op) > 2 else 1, cycle)
             t.pending_value = old
             h_span = kernel._h_span
             if h_span is not None:
@@ -339,7 +378,7 @@ class MTAMachine(MachineModel):
             COMPUTE: h_compute,
             LOAD: h_mem,
             STORE: h_mem,
-            LOAD_DEP: h_load_dep,
+            LOAD_DEP: self._dep_handler(kernel, mem_done),
             FETCH_ADD: h_fetch_add,
             SYNC_LOAD_EMPTY: h_sync_load,
             SYNC_LOAD_FULL: h_sync_load,
@@ -406,13 +445,14 @@ class MTAMachine(MachineModel):
     def blocked_rows(self) -> list:
         """Full/empty wait inventory; the kernel appends barrier waiters."""
         rows = []
-        for addr, waiters in self._wait_full.items():
-            for w in waiters:
-                rows.append({"tid": w.tid, "state": WAIT_FULL, "addr": addr})
-        for addr, waiters in self._wait_empty.items():
-            for w in waiters:
-                rows.append({"tid": w.tid, "state": WAIT_EMPTY, "addr": addr})
+        for state, queues in ((WAIT_FULL, self._wait_full),
+                              (WAIT_EMPTY, self._wait_empty)):
+            for addr, waiters in queues.items():
+                rows.extend(self._waiter_row(w, state, addr) for w in waiters)
         return rows
+
+    def _waiter_row(self, w, state: str, addr: int) -> dict:
+        return {"tid": w.tid, "state": state, "addr": addr}
 
     def report_detail(self, kernel: SimKernel) -> dict:
         detail = {

@@ -55,7 +55,7 @@ from ..isa import (
     SYNC_STORE_FULL,
 )
 from ..mta_engine import MTAMachine
-from ..thread import SimThread, WAIT_BARRIER, WAIT_EMPTY, WAIT_FULL, WAIT_REMOTE
+from ..thread import SimThread, WAIT_BARRIER, WAIT_REMOTE
 from .channel import (
     M_FA,
     M_GET,
@@ -90,6 +90,12 @@ class RemoteWaiter:
 
 class ShardMixin:
     """Sharding behavior layered over an interleaved base machine.
+
+    The mixin adds routing only: the owner check, message posting and
+    the remote proxies.  Every memory rule (fetch-add serialization,
+    full/empty fill and drain, the lookahead bookkeeping of a
+    non-blocking ref) is the base machine's own; for a
+    :class:`RemoteWaiter` the owner's wakeup sends a reply instead.
 
     Keyword parameters (consumed before the base constructor runs):
 
@@ -227,25 +233,18 @@ class ShardMixin:
         self.msgs_sent += 1
         if self.part_lo <= dst_partition < self.part_hi:
             heapq.heappush(self._pending, (msg_sort_key(msg), msg))
-            # the arrival may precede the next scheduled service point
-            # (e.g. an op issued mid-window): make sure the kernel calls
-            # back in time to apply it at exactly its stamp
-            kernel = self._kernel
-            if kernel is not None and (
-                kernel.service_wake is None or arrival < kernel.service_wake
-            ):
-                kernel.service_wake = arrival
         else:
             self.outbox.append(msg)
-            # flushing happens at service points: pull one forward so a
-            # message posted mid-window (e.g. under an unbounded horizon)
-            # leaves the outbox before this kernel's clock runs past the
-            # round-trip its requester is parked on
-            kernel = self._kernel
-            if kernel is not None and (
-                kernel.service_wake is None or arrival < kernel.service_wake
-            ):
-                kernel.service_wake = arrival
+        # pull the next service point forward to the arrival: a local
+        # message posted mid-window must be applied at exactly its stamp,
+        # and an outgoing one must leave the outbox (flushed at service
+        # points) before this kernel's clock runs past the round trip
+        # its requester is parked on
+        kernel = self._kernel
+        if kernel is not None and (
+            kernel.service_wake is None or arrival < kernel.service_wake
+        ):
+            kernel.service_wake = arrival
 
     def deliver(self, msgs) -> None:
         """Accept routed messages from the coordinator (any order)."""
@@ -292,20 +291,7 @@ class ShardMixin:
         src, owner = msg[2], msg[4]
         if kind == M_FA:
             addr, inc, rid = msg[5], msg[6], msg[7]
-            old = self.fa_values.get(addr, 0)
-            self.fa_values[addr] = old + inc
-            earliest = arrival + self.mem_latency
-            done = self._fa_next_free.get(addr, 0) + 1
-            if done < earliest:
-                done = earliest
-            stall = done - earliest
-            self.fa_serialization_stalls += stall
-            site = self._fa_sites.get(addr)
-            if site is None:
-                site = self._fa_sites[addr] = [0, 0]
-            site[0] += 1
-            site[1] += stall
-            self._fa_next_free[addr] = done
+            old, done, _ = self._fetch_add(addr, inc, arrival)
             self._reply(owner, src, rid, old, done + self.remote_latency)
         elif kind == M_GET:
             addr, rid = msg[5], msg[6]
@@ -372,67 +358,23 @@ class ShardMixin:
             t.pending_value = value
         kernel.block_until(t, unblock)
 
-    # -- owner-side full/empty transitions (local threads + remote proxies) -------
+    # -- owner-side full/empty wakeups of remote proxies -----------------------
 
-    def _fill(self, kernel, addr: int, value, cycle: int) -> None:
-        full = self._full
-        full[addr] = value
-        waiters = self._wait_full.get(addr)
-        mem_latency = self.mem_latency
-        while waiters and addr in full:
-            w = waiters.popleft()
-            if isinstance(w, RemoteWaiter):
-                self._fe_wait(w.wait_since, cycle)
-                self._reply(self.plan.owner_of(addr), w.src_partition, w.rid,
-                            full[addr],
-                            cycle + mem_latency + self.remote_latency)
-                if w.payload == SYNC_LOAD_EMPTY:
-                    del full[addr]
-                    self._drain_empty_waiters(kernel, addr, cycle)
-                continue
-            mode = w.pending_value
-            w.pending_value = full[addr]
-            h_sync = kernel._h_sync
-            if h_sync is not None:
-                consume = mode == SYNC_LOAD_EMPTY
-                for fn in h_sync:
-                    fn(w.tid, addr, "read", consume)
-            self._fe_wait(w.wait_since, cycle)
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(f"{mode}:wait", w.wait_since, cycle + mem_latency,
-                       w.proc, w.tid, {"addr": addr})
-            kernel.block_until(w, cycle + mem_latency)
-            if mode == SYNC_LOAD_EMPTY:
-                del full[addr]
-                self._drain_empty_waiters(kernel, addr, cycle)
+    def _wake_reader(self, kernel, w, addr: int, value, cycle: int) -> bool:
+        if not isinstance(w, RemoteWaiter):
+            return super()._wake_reader(kernel, w, addr, value, cycle)
+        self._fe_wait(w.wait_since, cycle)
+        self._reply(self.plan.owner_of(addr), w.src_partition, w.rid, value,
+                    cycle + self.mem_latency + self.remote_latency)
+        return w.payload == SYNC_LOAD_EMPTY
 
-    def _drain_empty_waiters(self, kernel, addr: int, cycle: int) -> None:
-        waiters = self._wait_empty.get(addr)
-        if waiters and addr not in self._full:
-            w = waiters.popleft()
-            if isinstance(w, RemoteWaiter):
-                value = w.payload
-                self._fe_wait(w.wait_since, cycle)
-                self._reply(self.plan.owner_of(addr), w.src_partition, w.rid,
-                            None, cycle + self.mem_latency + self.remote_latency)
-                self._fill(kernel, addr, value, cycle)
-                return
-            value = w.pending_value
-            w.pending_value = None
-            h_sync = kernel._h_sync
-            if h_sync is not None:
-                for fn in h_sync:
-                    fn(w.tid, addr, "write", False)
-            self._fe_wait(w.wait_since, cycle)
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn("SSF:wait", w.wait_since, cycle + self.mem_latency,
-                       w.proc, w.tid, {"addr": addr})
-            kernel.block_until(w, cycle + self.mem_latency)
-            self._fill(kernel, addr, value, cycle)
+    def _wake_writer(self, kernel, w, addr: int, cycle: int):
+        if not isinstance(w, RemoteWaiter):
+            return super()._wake_writer(kernel, w, addr, cycle)
+        self._fe_wait(w.wait_since, cycle)
+        self._reply(self.plan.owner_of(addr), w.src_partition, w.rid, None,
+                    cycle + self.mem_latency + self.remote_latency)
+        return w.payload
 
     # -- coordinator-mediated barriers --------------------------------------------
 
@@ -461,31 +403,11 @@ class ShardMixin:
 
     def apply_barrier_release(self, kernel, bid: str, release: int) -> None:
         """Wake local waiters of ``bid`` at the coordinator-computed
-        release cycle, with the kernel's exact statistics arithmetic."""
+        release cycle, through the kernel's own release path."""
         waiting = self._gbar_waiting.get(bid) or []
         self._gbar_waiting[bid] = []
-        if not waiting:
-            return
-        h_release = kernel._h_release
-        if h_release is not None:
-            tids = [w.tid for w in waiting]
-            for fn in h_release:
-                fn(bid, tids)
-        stats = kernel.barrier_stats.get(bid)
-        if stats is None:
-            stats = kernel.barrier_stats[bid] = [0, 0, 0]
-        h_span = kernel._h_span
-        for w in waiting:
-            wait = release - w.wait_since
-            stats[0] += 1
-            stats[1] += wait
-            if wait > stats[2]:
-                stats[2] = wait
-            if h_span is not None:
-                for fn in h_span:
-                    fn(f"B:{bid}", w.wait_since, release, w.proc, w.tid, None)
-            w.wait_key = None
-            kernel.block_until(w, release)
+        if waiting:
+            kernel.release_barrier(bid, waiting, release)
 
     # -- dispatch table ------------------------------------------------------------
 
@@ -493,40 +415,25 @@ class ShardMixin:
         self._kernel = kernel
         base = super().handlers(kernel)
         mem_latency = self.mem_latency
-        max_outstanding = self.max_outstanding
-        block_until = kernel.block_until
         values = self.values
-        k1 = self.plan.k == 1
+
+        def flat(addr, cycle):
+            return cycle + mem_latency
+
+        ref_local = self._ref_handler(kernel, flat)
+        dep_local = self._dep_handler(kernel, flat)
 
         def gv_local(proc, t, op, cycle):
-            done = cycle + mem_latency
             t.pending_value = values.get(op[1])
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(GET_VALUE, cycle, done, t.proc, t.tid, {"addr": op[1]})
-            block_until(t, done)
+            dep_local(proc, t, op, cycle)
 
         def pv_local(proc, t, op, cycle):
             values[op[1]] = op[2]
-            done = cycle + mem_latency
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(PUT_VALUE, cycle, done, t.proc, t.tid, {"addr": op[1]})
-            out = t.outstanding
-            out.append(done)
-            if len(out) > max_outstanding:
-                block_until(t, out.popleft())
-            elif t.lookahead_credit > 0:
-                t.lookahead_credit -= 1
-                proc.ready.append(t)
-            else:
-                block_until(t, out[0])
+            ref_local(proc, t, op, cycle)
 
         base[GET_VALUE] = gv_local
         base[PUT_VALUE] = pv_local
-        if k1:
+        if self.plan.k == 1:
             return base  # single partition: the base machine, exactly
 
         owner_of = self.plan.owner_of
@@ -535,6 +442,13 @@ class ShardMixin:
         post = self._post
         waiting_reply = self._waiting_reply
 
+        def remote(addr, cycle):
+            return cycle + R
+
+        # plain refs carry no engine-owned value: flat remote latency
+        remote_plain = self._ref_handler(kernel, remote)
+        remote_ld = self._dep_handler(kernel, remote)
+
         def park(t, tag, addr, cycle):
             rid = self._rid
             self._rid = rid + 1
@@ -542,30 +456,6 @@ class ShardMixin:
             t.state = WAIT_REMOTE
             t.wait_since = cycle
             return rid
-
-        def remote_plain(proc, t, op, cycle):
-            done = cycle + R
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(op[0], cycle, done, t.proc, t.tid, {"addr": op[1]})
-            out = t.outstanding
-            out.append(done)
-            if len(out) > max_outstanding:
-                block_until(t, out.popleft())
-            elif t.lookahead_credit > 0:
-                t.lookahead_credit -= 1
-                proc.ready.append(t)
-            else:
-                block_until(t, out[0])
-
-        def remote_ld(proc, t, op, cycle):
-            done = cycle + R
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(LOAD_DEP, cycle, done, t.proc, t.tid, {"addr": op[1]})
-            block_until(t, done)
 
         def route(local_handler, remote_handler):
             def dispatch(proc, t, op, cycle):
@@ -604,20 +494,7 @@ class ShardMixin:
             addr = op[1]
             post(M_PUT, proc_part[t.proc], cycle + R, owner_of(addr),
                  addr, op[2])
-            done = cycle + R
-            h_span = kernel._h_span
-            if h_span is not None:
-                for fn in h_span:
-                    fn(PUT_VALUE, cycle, done, t.proc, t.tid, {"addr": addr})
-            out = t.outstanding
-            out.append(done)
-            if len(out) > max_outstanding:
-                block_until(t, out.popleft())
-            elif t.lookahead_credit > 0:
-                t.lookahead_credit -= 1
-                proc.ready.append(t)
-            else:
-                block_until(t, out[0])
+            remote_plain(proc, t, op, cycle)
 
         table = dict(base)
         for tag in (LOAD, STORE):
@@ -633,22 +510,14 @@ class ShardMixin:
 
     # -- diagnosis ---------------------------------------------------------------
 
+    def _waiter_row(self, w, state: str, addr: int) -> dict:
+        if isinstance(w, RemoteWaiter):
+            return {"tid": None, "state": state, "addr": addr,
+                    "remote": True, "partition": w.src_partition}
+        return super()._waiter_row(w, state, addr)
+
     def blocked_rows(self) -> list:
-        rows = []
-        for addr, waiters in self._wait_full.items():
-            for w in waiters:
-                if isinstance(w, RemoteWaiter):
-                    rows.append({"tid": None, "state": WAIT_FULL, "addr": addr,
-                                 "remote": True, "partition": w.src_partition})
-                else:
-                    rows.append({"tid": w.tid, "state": WAIT_FULL, "addr": addr})
-        for addr, waiters in self._wait_empty.items():
-            for w in waiters:
-                if isinstance(w, RemoteWaiter):
-                    rows.append({"tid": None, "state": WAIT_EMPTY, "addr": addr,
-                                 "remote": True, "partition": w.src_partition})
-                else:
-                    rows.append({"tid": w.tid, "state": WAIT_EMPTY, "addr": addr})
+        rows = super().blocked_rows()
         for entry in self._waiting_reply.values():
             rows.append({"tid": entry[0], "state": WAIT_REMOTE,
                          "addr": entry[2], "op": entry[1]})

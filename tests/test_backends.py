@@ -1,6 +1,7 @@
 """Tests for the backend registry and the five built-in backends."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -309,6 +310,28 @@ class TestShardedExecution:
                      {"shards": 2, "streams_per_proc": 8})
         with pytest.raises(ConfigurationError):
             create("mta-engine").run(w)
+
+    @pytest.mark.parametrize("engine_kwargs, message", [
+        ({"lookahead": -5}, "lookahead must be >= 0"),
+        ({"max_outstanding": 0}, "max_outstanding must be >= 1"),
+        ({"barrier_latency": -50}, "barrier_latency must be >= 0"),
+        ({"clock_hz": 0}, "clock_hz must be > 0"),
+        ({"bogus": 1}, "unknown engine_kwargs key(s) 'bogus' for MTAMachine"),
+        ("mem_latency=5", "option 'engine_kwargs' must be a mapping"),
+        (7, "option 'engine_kwargs' must be a mapping"),
+    ])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bad_engine_kwargs_are_configuration_errors(self, engine_kwargs, message, shards):
+        w = self._cc(shards=shards, engine_kwargs=engine_kwargs)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            create("mta-engine").run(w)
+
+    def test_engine_kwargs_checked_against_the_backends_machine(self):
+        w = self._cc(engine_kwargs={"n_banks": 0, "mem_latency": 50, "tier": "interpreted"})
+        assert create("mta-next-engine").run(w).cycles > 0
+        w = self._cc(engine_kwargs={"record": True})
+        with pytest.raises(ConfigurationError, match="for MTANextMachine"):
+            create("mta-next-engine").run(w)
 
     def test_check_rejects_shards(self):
         w = self._cc(shards=2, check=True)

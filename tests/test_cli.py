@@ -411,7 +411,8 @@ class TestSubmitParity:
 
 
 class TestMalformedNumbers:
-    """Bad integer params/options are structured errors, never tracebacks."""
+    """Bad integer params/options, malformed or out of range, are
+    structured errors, never tracebacks."""
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -433,6 +434,43 @@ class TestMalformedNumbers:
             (["--workload", "rank", "--backend", "mta-engine", "--n", "64",
               "--opt", "streams_per_proc=x"],
              "option 'streams_per_proc' must be an integer"),
+            # out of range: a zero edge chunk used to hang the unsharded
+            # MTA CC, and the sharded path silently ran it as 1
+            (["--workload", "cc", "--backend", "mta-engine", "--n", "64", "--p", "2",
+              "--opt", "edges_per_chunk=0"],
+             "edges_per_chunk must be >= 1, got 0"),
+            (["--workload", "cc", "--backend", "mta-engine", "--n", "64", "--p", "2",
+              "--opt", "edges_per_chunk=-4"],
+             "edges_per_chunk must be >= 1, got -4"),
+            (["--workload", "cc", "--backend", "mta-engine", "--n", "64", "--p", "2",
+              "--shards", "2", "--opt", "shard_executor=inline",
+              "--opt", "edges_per_chunk=0"],
+             "edges_per_chunk must be >= 1, got 0"),
+            (["--workload", "cc", "--backend", "mta-engine", "--n", "64", "--p", "2",
+              "--opt", "streams_per_proc=0"],
+             "streams_per_proc must be >= 1, got 0"),
+            (["--workload", "rank", "--backend", "mta-engine", "--n", "64",
+              "--opt", "nodes_per_walk=0"],
+             "nodes_per_walk must be >= 1, got 0"),
+            (["--workload", "rank", "--backend", "mta-engine", "--n", "64",
+              "--opt", "nodes_per_walk=-3"],
+             "nodes_per_walk must be >= 1, got -3"),
+            (["--workload", "rank", "--backend", "smp-engine", "--n", "64",
+              "--opt", "s=0"],
+             "s must be >= 1, got 0"),
+            (["--workload", "rank", "--backend", "smp-engine", "--n", "64",
+              "--opt", "s=-1"],
+             "s must be >= 1, got -1"),
+            (["--workload", "chase", "--backend", "mta-engine", "--opt", "steps=-1"],
+             "steps must be >= 1, got -1"),
+            (["--workload", "chase", "--backend", "mta-engine", "--shards", "2",
+              "--opt", "shard_executor=inline", "--opt", "steps=0"],
+             "steps must be >= 1, got 0"),
+            (["--workload", "chase", "--backend", "mta-engine", "--opt", "lookahead=-1"],
+             "lookahead must be >= 0, got -1"),
+            (["--workload", "cc", "--backend", "mta-engine", "--n", "64",
+              "--opt", "engine_kwargs=lookahead"],
+             "option 'engine_kwargs' must be a mapping"),
         ],
     )
     def test_exit_2_with_an_error_line(self, flags, message, capsys):

@@ -228,6 +228,36 @@ class TestDeadlockAndErrors:
         with pytest.raises(ConfigurationError):
             MTAEngine(p=1, mem_latency=0)
 
+    @pytest.mark.parametrize("machine", ["mta", "mta-next", "sharded"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("lookahead", -5, "lookahead must be >= 0, got -5"),
+        ("max_outstanding", 0, "max_outstanding must be >= 1, got 0"),
+        ("barrier_latency", -50, "barrier_latency must be >= 0, got -50"),
+        ("clock_hz", 0, "clock_hz must be > 0, got 0"),
+    ])
+    def test_nonsensical_machine_parameters_rejected(self, machine, key, value, message):
+        from repro.sim.mta_next import MTANextMachine
+        from repro.sim.shard import PartitionPlan
+        from repro.sim.shard.machine import sharded_machine
+
+        with pytest.raises(ConfigurationError, match=message):
+            if machine == "mta":
+                MTAEngine(p=1, **{key: value})
+            elif machine == "mta-next":
+                MTANextMachine(1, **{key: value})
+            else:
+                sharded_machine()(plan=PartitionPlan(64, 2, 1), part_lo=0,
+                                  part_hi=1, **{key: value})
+
+    def test_edge_machine_parameters_accepted(self):
+        def prog():
+            yield isa.load(1)
+            yield isa.compute(1)
+
+        eng = MTAEngine(p=1, lookahead=0, max_outstanding=1, barrier_latency=0)
+        eng.spawn(prog())
+        assert eng.run().cycles > 0
+
 
 class TestUtilizationSaturation:
     """The paper's claim: ~latency/lookahead streams saturate a processor."""
