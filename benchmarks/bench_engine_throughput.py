@@ -19,18 +19,6 @@ Three workloads per engine, chosen to stress different dispatch paths:
     The op mix of a self-scheduled list walk: ``FA`` work grab,
     dependent loads, stores, compute — closest to Alg. 1's profile.
 
-These three run pinned to the interpreted tier, so the numbers keep
-measuring generator dispatch.  A fourth workload measures the vector
-fast path (``docs/SIMULATION.md``, "Execution tiers"):
-
-``ranking``
-    The uncontended ranking kernel: each MTA stream grabs work with a
-    ``FA`` on a *private* counter, then walks a long dependent-load
-    chain declared as an :func:`~repro.sim.isa.run_block` — the
-    pointer-chase regime the LD-window fast-forward collapses to
-    closed form.  Measured on both tiers; the ratio is reported as
-    ``fast_tier.speedup`` and CI enforces ``--min-fast-speedup 10``.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--ops N] [--json PATH]
@@ -81,47 +69,9 @@ def _mixed_prog(n_ops: int, ctr: int, base: int):
         i += 5
 
 
-def _ranking_prog(ctr: int, blocks: list):
-    """One stream of the uncontended ranking kernel: a private-counter
-    work grab, then a precompiled ``run_block`` chain of dependent
-    loads.  Blocks are built by the caller, outside the timed region —
-    the realistic usage, and what keeps this a measurement of the
-    execution tier rather than of op-tuple construction."""
-    for blk in blocks:
-        yield isa.fetch_add(ctr, 1)
-        yield blk
-
-
-def _run_mta_ranking(n_ops: int, tier: str) -> dict:
-    p, streams, rounds = 4, 64, 4
-    per = max(8, n_ops // (p * streams))
-    chunk = max(1, per // rounds - 1)
-    eng = MTAEngine(  # allow_direct_engine: this bench measures kernel dispatch itself
-        p=p, streams_per_proc=streams, mem_latency=20, lookahead=2, tier=tier
-    )
-    for k in range(p * streams):
-        eng.set_counter(1000 + k, 0)  # private counter: no FA contention
-        blocks = [
-            isa.run_block(
-                [isa.load_dep((k * 100_000 + (r * chunk + i) * 8) % 65_536)
-                 for i in range(chunk)]
-            )
-            for r in range(rounds)
-        ]
-        eng.spawn(_ranking_prog(ctr=1000 + k, blocks=blocks))
-    t0 = time.perf_counter()
-    report = eng.run("ranking")
-    dt = time.perf_counter() - t0
-    return {"issued": report.total_issued, "seconds": dt,
-            "ops_per_sec": report.total_issued / dt,
-            "cycles": report.cycles,
-            "windows": eng.kernel.window_stats["windows"]}
-
-
 def _run_mta(workload: str, n_ops: int) -> dict:
     streams = 64
-    eng = MTAEngine(p=4, streams_per_proc=streams, mem_latency=20, lookahead=2,  # allow_direct_engine: this bench measures kernel dispatch itself
-                    tier="interpreted")
+    eng = MTAEngine(p=4, streams_per_proc=streams, mem_latency=20, lookahead=2)  # allow_direct_engine: this bench measures kernel dispatch itself
     per = max(1, n_ops // (4 * streams))
     if workload == "mixed":
         eng.set_counter(7, 0)
@@ -141,7 +91,7 @@ def _run_mta(workload: str, n_ops: int) -> dict:
 
 def _run_smp(workload: str, n_ops: int) -> dict:
     p = 4
-    eng = SMPEngine(p=p, tier="interpreted")  # allow_direct_engine: this bench measures kernel dispatch itself
+    eng = SMPEngine(p=p)  # allow_direct_engine: this bench measures kernel dispatch itself
     per = max(1, n_ops // p)
     if workload == "mixed":
         eng.set_counter(7, 0)
@@ -175,19 +125,6 @@ def run_bench(n_ops: int = DEFAULT_OPS, repeats: int = 3) -> dict:
     out["min_ops_per_sec"] = min(
         row["ops_per_sec"] for rows in out["engines"].values() for row in rows.values()
     )
-    fast: dict = {}
-    for tier in ("interpreted", "vector"):
-        best = None
-        for _ in range(repeats):
-            r = _run_mta_ranking(n_ops, tier)
-            if best is None or r["ops_per_sec"] > best["ops_per_sec"]:
-                best = r
-        fast[tier] = best
-    # both tiers must simulate the identical machine history
-    assert fast["vector"]["cycles"] == fast["interpreted"]["cycles"]
-    assert fast["vector"]["issued"] == fast["interpreted"]["issued"]
-    fast["speedup"] = fast["vector"]["ops_per_sec"] / fast["interpreted"]["ops_per_sec"]
-    out["fast_tier"] = fast
     return out
 
 
@@ -207,8 +144,6 @@ def test_engine_throughput_smoke(benchmark):
         for r in rows.values():
             assert r["issued"] > 0
     assert result["min_ops_per_sec"] > 0
-    assert result["fast_tier"]["vector"]["windows"] > 0
-    assert result["fast_tier"]["speedup"] > 0
 
 
 def main(argv=None) -> int:
@@ -219,9 +154,6 @@ def main(argv=None) -> int:
     ap.add_argument("--json", type=pathlib.Path, default=RESULTS / "BENCH_engine.json")
     ap.add_argument("--min-ops-per-sec", type=float, default=None,
                     help="exit 1 if any measurement falls below this floor")
-    ap.add_argument("--min-fast-speedup", type=float, default=None,
-                    help="exit 1 if the vector tier's ranking-kernel speedup "
-                         "over interpreted falls below this ratio")
     args = ap.parse_args(argv)
 
     result = run_bench(args.ops, args.repeats)
@@ -232,21 +164,10 @@ def main(argv=None) -> int:
         for workload, r in rows.items():
             print(f"{engine:>10} {workload:>8}: {r['ops_per_sec']:>12,.0f} ops/s"
                   f"  ({r['issued']:,} ops in {r['seconds']:.3f}s)")
-    fast = result["fast_tier"]
-    for tier in ("interpreted", "vector"):
-        r = fast[tier]
-        print(f"{'ranking':>10} {tier:>11}: {r['ops_per_sec']:>12,.0f} ops/s"
-              f"  ({r['issued']:,} ops in {r['seconds']:.3f}s,"
-              f" {r['windows']} windows)")
-    print(f"{'fast-tier speedup':>22}: {fast['speedup']:.1f}x")
     print(f"wrote {args.json}")
     if args.min_ops_per_sec is not None and result["min_ops_per_sec"] < args.min_ops_per_sec:
         print(f"FAIL: min throughput {result['min_ops_per_sec']:,.0f} ops/s "
               f"below floor {args.min_ops_per_sec:,.0f}", file=sys.stderr)
-        return 1
-    if args.min_fast_speedup is not None and fast["speedup"] < args.min_fast_speedup:
-        print(f"FAIL: fast-tier speedup {fast['speedup']:.1f}x below floor "
-              f"{args.min_fast_speedup:.1f}x", file=sys.stderr)
         return 1
     return 0
 

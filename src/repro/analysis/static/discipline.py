@@ -16,7 +16,7 @@ all) by ad-hoc runtime tests:
   just never calls it — so both sides are checked: string event names
   passed to ``emit``/``listeners``, and public methods of ``*Hook``
   adapter classes.
-* The kernel hot core (``kernel``/``fastpath``/``thread``/``isa``)
+* The kernel hot core (``kernel``/``thread``/``isa``)
   imports no instrumentation (``repro.obs``, ``repro.analysis``).  The
   whole HookBus design exists so the interpreter loop pays one ``is not
   None`` per event; a direct import recouples the layers and drags
@@ -44,7 +44,6 @@ BANNED_CONSTRUCTORS = (
 #: Modules whose per-op interpreter loops must stay instrumentation-free.
 HOT_LOOP_MODULES = (
     "repro.sim.kernel",
-    "repro.sim.fastpath",
     "repro.sim.thread",
     "repro.sim.isa",
 )

@@ -14,7 +14,7 @@ because they only bite under a schedule or input the tests didn't hit:
   generator that built it;
 * a ``run_block`` containing value-returning/synchronizing ops — ``VR``
   blocks are defined as straight-line ``C``/``L``/``LD``/``S`` runs, and
-  the vectorized fast tier batch-executes them on that assumption.
+  the kernel expands them without resuming the generator in between.
 
 Intentional asymmetric barriers (e.g. a leader-only release protocol)
 carry ``# allow_shape: <reason>``.
@@ -45,7 +45,7 @@ OP_ARITY = {
     "VR": 2,
 }
 
-#: Tags legal inside a ``run_block`` (straight-line, vectorizable).
+#: Tags legal inside a ``run_block`` (straight-line plain ops).
 PLAIN_TAGS = {"C", "L", "LD", "S"}
 
 #: isa helper name -> the tag it builds.

@@ -70,7 +70,6 @@ def _register_builtins() -> None:
         description="Cycle-level SMP engine (simulated caches + bus)",
         machine="smp",
         hooks=HOOK_EVENTS,
-        tiers=("interpreted", "vector"),
         checkpoint=True,
         xval=True,
     )
@@ -82,7 +81,6 @@ def _register_builtins() -> None:
         description="Cycle-level MTA engine (multithreaded streams)",
         machine="mta",
         hooks=HOOK_EVENTS,
-        tiers=("interpreted", "vector"),
         checkpoint=True,
         shardable=True,
         xval=True,
@@ -95,7 +93,6 @@ def _register_builtins() -> None:
         description=MTA_NEXT_DESCRIPTION,
         machine="mta-next",
         hooks=HOOK_EVENTS,
-        tiers=("interpreted",),
         checkpoint=True,
         shardable=True,
     )

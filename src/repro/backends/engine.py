@@ -24,12 +24,6 @@ Workload options consumed here (all optional):
     :class:`~repro.analysis.ConcurrencyChecker` and attach its summary
     as ``detail["analysis"]`` (``"strict"`` enables strict mode).  An
     explicit checker passed to :meth:`execute` takes precedence.
-``tier``
-    Execution tier for the run (``"auto"``/``"interpreted"``/
-    ``"vector"``; see ``docs/SIMULATION.md``).  Any active concurrency
-    checker — explicit or option-driven — forces ``"interpreted"``:
-    analysis observes every op, so ``repro analyze`` always runs at
-    full per-op fidelity regardless of the requested tier.
 ``steps``, ``mem_latency``, ``lookahead``
     ``chase`` workload: instructions per chaser and engine latency
     parameters for the saturation curve.
@@ -107,7 +101,6 @@ class SMPEngineBackend(Backend):
                 " machine (mta-engine, mta-next-engine)"
             )
         check, attach_summary = _resolve_check(check, workload)
-        tier = _resolve_tier(workload, check)
         session = _resolve_session(workload, self.name, check)
         if workload.kind == "rank":
             from ..lists.programs import simulate_smp_list_ranking
@@ -117,7 +110,7 @@ class SMPEngineBackend(Backend):
                 kw["s"] = int_value(opt, "s", option=True)
             sim = simulate_smp_list_ranking(
                 handle.data, p=workload.p, rng=workload.seed,
-                config=self.config, check=check, tier=tier, session=session, **kw,
+                config=self.config, check=check, session=session, **kw,
             )
         else:
             from ..graphs.programs import simulate_smp_cc
@@ -125,7 +118,7 @@ class SMPEngineBackend(Backend):
             sim = simulate_smp_cc(
                 handle.data, p=workload.p,
                 max_iter=int_value(opt, "max_iter", 64, option=True),
-                config=self.config, check=check, tier=tier, session=session,
+                config=self.config, check=check, session=session,
                 variant=opt.get("variant"),
             )
         _note_resume(session)
@@ -171,7 +164,6 @@ class MTAEngineBackend(Backend):
         if workload.kind == "chase":
             return self._execute_chase(handle, check, attach_summary)
         engine_kwargs = _engine_kwargs(workload, self.engine_factory)
-        engine_kwargs.setdefault("tier", _resolve_tier(workload, check))
         session = _resolve_session(workload, self.name, check)
         if workload.kind == "rank":
             from ..lists.programs import simulate_mta_list_ranking
@@ -221,7 +213,6 @@ class MTAEngineBackend(Backend):
                 " arrays; sharded execution supports the kinds with"
                 " engine-owned state: cc and chase"
             )
-        tier = _resolve_tier(workload, None)
         base = getattr(self.engine_factory, "machine_class", None)
         if workload.kind == "chase":
             from ..obs.summary import RunSummary
@@ -240,7 +231,6 @@ class MTAEngineBackend(Backend):
                 remote_latency=shard["remote_latency"],
                 name="chase",
                 budget=200_000_000,
-                tier=tier,
                 checkpoint=checkpoint,
                 resume=resume,
             )
@@ -258,7 +248,6 @@ class MTAEngineBackend(Backend):
             from ..graphs.shard_programs import simulate_sharded_cc
 
             params = _engine_kwargs(workload, self.engine_factory)
-            params.pop("tier", None)
             sim = simulate_sharded_cc(
                 handle.data,
                 p=workload.p,
@@ -271,7 +260,6 @@ class MTAEngineBackend(Backend):
                 max_iter=int_value(opt, "max_iter", 64, option=True),
                 params=params,
                 base=base,
-                tier=tier,
             )
             summary = sim.summary
             summary.detail["iterations"] = int(sim.iterations)
@@ -297,7 +285,6 @@ class MTAEngineBackend(Backend):
         eng = engine(
             p=workload.p,
             check=check,
-            tier=_resolve_tier(workload, check),
             session=session,
             **_chase_params(opt),
         )
@@ -379,11 +366,11 @@ def _engine_kwargs(workload, engine_factory) -> dict:
 
     machine = (engine_factory or MTAEngine).machine_class
     known = set(inspect.signature(machine).parameters) - {"p"}
-    unknown = sorted(set(raw) - known - {"tier"})
+    unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigurationError(
             f"unknown engine_kwargs key(s) {', '.join(map(repr, unknown))} for"
-            f" {machine.__name__}; expected some of: tier, {', '.join(sorted(known))}"
+            f" {machine.__name__}; expected some of: {', '.join(sorted(known))}"
         )
     return dict(raw)
 
@@ -536,26 +523,6 @@ def _resolve_check(check, workload):
     from ..analysis import ConcurrencyChecker
 
     return ConcurrencyChecker(strict=opt == "strict", program=workload.kind), True
-
-
-def _resolve_tier(workload, check) -> str:
-    """The execution tier for a workload run (see module docstring).
-
-    An active concurrency checker wins over the requested tier: the
-    checker subscribes to per-op hook events, which the vector tier
-    cannot deliver, so checked runs always interpret.  ``repro analyze
-    --all`` relies on this (tests/test_tier_fallback.py pins it).
-    """
-    tier = str(workload.option("tier") or "auto")
-    from ..sim import TIERS
-
-    if tier not in TIERS:
-        raise ConfigurationError(
-            f"unknown tier {tier!r}; expected one of {', '.join(TIERS)}"
-        )
-    if check is not None:
-        return "interpreted"
-    return tier
 
 
 def make_smp_engine(*, config=None):

@@ -32,9 +32,6 @@ class _Entry:
     #: HookBus events the backend's execution path can deliver
     #: (empty for analytic models, which run no instruction streams).
     hooks: tuple = ()
-    #: Execution tiers the backend's runs may use (empty for analytic
-    #: models, which compute in closed form and have no run loop).
-    tiers: tuple = ()
     #: True when the backend's runs can checkpoint/resume (the machine
     #: model implements the serializable-state contract).
     checkpoint: bool = False
@@ -59,7 +56,6 @@ def register(
     description: str = "",
     machine: str = "",
     hooks: tuple = (),
-    tiers: tuple = (),
     checkpoint: bool = False,
     shardable: bool = False,
     xval: bool = False,
@@ -72,8 +68,7 @@ def register(
     but examples can re-run).  ``machine`` names the simulation machine
     model behind an engine backend, ``hooks`` lists the
     :class:`~repro.sim.hooks.HookBus` events its runs can deliver,
-    ``tiers`` the execution tiers its runs may use (the workload's
-    ``tier`` option), ``checkpoint`` whether its runs support
+    ``checkpoint`` whether its runs support
     checkpoint/resume (the workload's ``checkpoint`` option),
     ``shardable`` whether they accept the ``shards`` workload option
     (the multi-process sharded runtime), and ``xval`` whether the
@@ -95,7 +90,6 @@ def register(
         description=description,
         machine=machine,
         hooks=tuple(hooks),
-        tiers=tuple(tiers),
         checkpoint=bool(checkpoint),
         shardable=bool(shardable),
         xval=bool(xval),
@@ -131,7 +125,7 @@ def names() -> list[str]:
 
 
 def describe() -> list[dict]:
-    """One row per backend: name, level, kinds, machine, hooks, tiers,
+    """One row per backend: name, level, kinds, machine, hooks,
     checkpoint, shardable, xval, description."""
     return [
         {
@@ -140,7 +134,6 @@ def describe() -> list[dict]:
             "kinds": list(e.kinds),
             "machine": e.machine,
             "hooks": list(e.hooks),
-            "tiers": list(e.tiers),
             "checkpoint": e.checkpoint,
             "shardable": e.shardable,
             "xval": e.xval,

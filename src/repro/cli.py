@@ -899,7 +899,7 @@ def _cmd_checkpoint(args) -> int:
             print(f"no checkpoint artifacts under {store.root}")
             return 0
         print(
-            f"{'id':<16}  {'machine':<8}  {'tier':<11}  {'run':<18}"
+            f"{'id':<16}  {'machine':<8}  {'run':<18}"
             f"  {'progress':>12}  {'job':<16}  size"
         )
         for path, header in entries:
@@ -908,7 +908,6 @@ def _cmd_checkpoint(args) -> int:
             job = ((header.get("job") or {}).get("key") or "adhoc")[:16]
             print(
                 f"{path.stem[:16]:<16}  {header.get('machine', '?'):<8}"
-                f"  {header.get('tier', '?'):<11}"
                 f"  {str(header.get('run_name', '?'))[:18]:<18}"
                 f"  {at:>12}  {job:<16}  {path.stat().st_size}"
             )
@@ -935,18 +934,16 @@ def _cmd_backends(args) -> int:
     width = max(len(r["name"]) for r in rows)
     kw = max(len(",".join(r["kinds"])) for r in rows)
     mw = max(len(r["machine"] or "-") for r in rows)
-    tw = max(len(",".join(r.get("tiers", [])) or "-") for r in rows)
     for r in rows:
         kinds = ",".join(r["kinds"])
         machine = r["machine"] or "-"
         hooks = f"{len(r['hooks'])} hooks" if r["hooks"] else "-"
-        tiers = ",".join(r.get("tiers", [])) or "-"
         ckpt = "ckpt" if r.get("checkpoint") else "-"
         shard = "shard" if r.get("shardable") else "-"
         xval = "xval" if r.get("xval") else "-"
         print(
             f"{r['name']:<{width}}  {r['level']:<6}  {kinds:<{kw}}"
-            f"  {machine:<{mw}}  {hooks:<8}  {tiers:<{tw}}  {ckpt:<4}"
+            f"  {machine:<{mw}}  {hooks:<8}  {ckpt:<4}"
             f"  {shard:<5}  {xval:<4}  {r['description']}"
         )
     return 0

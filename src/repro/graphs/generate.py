@@ -40,6 +40,10 @@ def random_graph(n: int, m: int, rng: np.random.Generator | int | None = None) -
     exist; the result is returned in random order (the paper's
     "arbitrary order" edge array).
     """
+    if n < 0:
+        raise WorkloadError(f"n must be >= 0, got {n}")
+    if m < 0:
+        raise WorkloadError(f"m must be >= 0, got {m}")
     if n < 2 and m > 0:
         raise WorkloadError("need at least 2 vertices to place an edge")
     max_m = n * (n - 1) // 2
@@ -91,6 +95,8 @@ def rmat_graph(
     """
     if scale < 1 or scale > 30:
         raise WorkloadError("scale must be in [1, 30]")
+    if edge_factor < 1:
+        raise WorkloadError(f"edge_factor must be >= 1, got {edge_factor}")
     d = 1.0 - a - b - c
     if min(a, b, c, d) < 0:
         raise WorkloadError("quadrant probabilities must be non-negative")

@@ -242,7 +242,6 @@ def simulate_smp_cc(
     config=None,
     tracer=None,
     check=None,
-    tier: str = "auto",
     session=None,
     variant: str | None = None,
 ) -> CCSim:
@@ -380,7 +379,7 @@ def simulate_smp_cc(
         check.allow_racy(
             a_flag.base, a_flag.end, "graft flag is a monotonic any-write-wins broadcast"
         )
-    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
+    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, session=session)
     for proc in range(p):
         eng.attach(program(proc))
     report = eng.run("smp.sv-cc")

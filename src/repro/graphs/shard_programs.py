@@ -231,7 +231,6 @@ def simulate_sharded_cc(
     params: dict | None = None,
     base=None,
     budget: int | None = None,
-    tier: str | None = None,
 ) -> ShardCCSim:
     """Execute owner-computes SV-CC on the sharded runtime.
 
@@ -279,7 +278,7 @@ def simulate_sharded_cc(
 
     common = dict(workers=workers, executor=executor, base=base,
                   params=params, remote_latency=remote_latency,
-                  budget=budget, tier=tier)
+                  budget=budget)
     d = list(range(n))
     reports = []
     detail: dict = {}

@@ -319,7 +319,6 @@ def simulate_smp_list_ranking(
     config=None,
     tracer=None,
     check=None,
-    tier: str = "auto",
     session=None,
 ) -> MTAListRankingSim:
     """Execute the Helman–JáJá algorithm on the SMP cycle engine.
@@ -449,7 +448,7 @@ def simulate_smp_list_ranking(
 
     if check is not None:
         check.set_address_space(space)
-    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, tier=tier, session=session)
+    eng = SMPEngine(p=p, config=config, tracer=tracer, check=check, session=session)
     eng.set_counter(a_ctr.base + 0, 0)
     for proc in range(p):
         eng.attach(program(proc))

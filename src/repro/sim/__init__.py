@@ -19,13 +19,12 @@ from .checkpoint import (
     CheckpointStore,
     load_checkpoint,
 )
-from .fastpath import OpBlock, VectorProfile
 from .hooks import HOOK_EVENTS, CheckerHook, HookBus, TracerHook
+from .isa import OpBlock
 from .kernel import (
     CHECKPOINT_STATE_VERSION,
     EVENT,
     INTERLEAVED,
-    TIERS,
     MachineModel,
     SimKernel,
 )
@@ -52,9 +51,7 @@ __all__ = [
     "MachineModel",
     "EVENT",
     "INTERLEAVED",
-    "TIERS",
     "OpBlock",
-    "VectorProfile",
     "HookBus",
     "TracerHook",
     "CheckerHook",

@@ -11,7 +11,7 @@ penalty cycles equal the analytic model's
 
 Pure bookkeeping over the program's own deterministic outcome sequence
 — no randomness, no wall clock — so op streams stay byte-identical
-across runs, tiers, and worker counts.
+across runs and worker counts.
 """
 
 from __future__ import annotations

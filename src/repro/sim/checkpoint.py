@@ -17,12 +17,11 @@ consists of
 
 Restore = rebuild the same workload (deterministic given its seed),
 replay the log, install the state, continue — byte-identical to the
-uninterrupted run on both scheduling disciplines and both execution
-tiers.
+uninterrupted run on both scheduling disciplines.
 
 On-disk artifacts are content-addressed: line 1 is a JSON header
 (format/state versions, code digests of the kernel-critical modules,
-machine, tier, setup digest, progress, owning job), followed by a
+machine, setup digest, progress, owning job), followed by a
 zlib-compressed pickle payload; the artifact id is the SHA-256 of the
 file bytes.  The header is readable without touching the payload, so
 ``repro checkpoint ls`` stays cheap.  Any version or digest mismatch on
@@ -74,7 +73,6 @@ _CORE_MODULES = (
     "repro.sim.isa",
     "repro.sim.kernel",
     "repro.sim.thread",
-    "repro.sim.fastpath",
 )
 
 _digest_cache: dict[str, str] = {}
@@ -327,7 +325,6 @@ def _make_header(kernel, state: dict, run_index: int, job) -> dict:
         "machine": model.kind,
         "scheduling": model.scheduling,
         "p": model.p,
-        "tier": kernel.tier_used,
         "setup": state["setup"],
         "run_index": run_index,
         "run_name": state["name"],
@@ -380,7 +377,7 @@ class CheckpointSession:
         self._next_run = 0
         self._kernels: dict = {}
 
-    def run(self, kernel, name: str, *, budget=None, tier=None):
+    def run(self, kernel, name: str, *, budget=None):
         """Execute (or replay, or resume) run ``name`` on ``kernel``."""
         if id(kernel) in self._kernels:  # allow_nondet: same-process identity guard, never persisted
             raise CheckpointError(
@@ -416,7 +413,7 @@ class CheckpointSession:
         sink = self._make_sink(kernel) if every is not None else None
         try:
             report = kernel.run(
-                name, budget=budget, tier=tier,
+                name, budget=budget,
                 checkpoint_every=every, checkpoint_sink=sink,
             )
         except WatchdogExceeded as exc:

@@ -80,9 +80,7 @@ class HookBus:
         #: Bumped on every :meth:`add`.  The kernel's run loops compare
         #: it against the value they cached their listener tuples from,
         #: so a hook attached *mid-run* (from another hook's callback)
-        #: starts receiving events at the next scheduling boundary — and
-        #: the vectorized fast tier demotes itself if the new subscriber
-        #: demands per-op fidelity.
+        #: starts receiving events at the next scheduling boundary.
         self.version = 0
 
     def add(self, hook) -> None:

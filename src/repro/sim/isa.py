@@ -67,8 +67,7 @@ tag string.  Tags:
     synchronizes, or marks a phase).  The kernel macro-expands the
     block in place, charging each contained op exactly as if the
     generator had yielded it directly, so reports are identical either
-    way.  Declaring a run as a block is what lets the vectorized fast
-    tier (:mod:`repro.sim.fastpath`) batch-execute it: the ops are
+    way, minus one generator resume per contained op: the ops are
     static data, so no generator code needs to run between them.
     Build one with :func:`run_block`.
 
@@ -97,6 +96,7 @@ __all__ = [
     "BARRIER",
     "PHASE",
     "RUN_BLOCK",
+    "OpBlock",
     "compute",
     "load",
     "load_dep",
@@ -227,6 +227,36 @@ def phase(name: str) -> tuple:
     return (PHASE, name)
 
 
+#: Tags an :class:`OpBlock` may contain.
+_PLAIN = frozenset((COMPUTE, LOAD, LOAD_DEP, STORE))
+
+
+class OpBlock:
+    """A precompiled straight-line run of plain ops (``C``/``L``/``LD``/``S``).
+
+    Nothing inside a block may return a value into the generator,
+    synchronize, barrier, or mark a phase — those are the points where
+    program code must run at its exact simulated moment, so they end a
+    block by construction.
+    """
+
+    __slots__ = ("ops", "n")
+
+    def __init__(self, ops):
+        ops = tuple(ops)
+        for i, op in enumerate(ops):
+            if op[0] not in _PLAIN:
+                raise TypeError(
+                    f"run_block op {i} is {op[0]!r}; only plain ops "
+                    "(C/L/LD/S) may appear in a block"
+                )
+        self.ops = ops
+        self.n = len(ops)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"OpBlock(n={self.n})"
+
+
 def run_block(ops) -> tuple:
     """Precompile a straight-line run of plain ops into one ``VR`` pseudo-op.
 
@@ -234,13 +264,10 @@ def run_block(ops) -> tuple:
     plain subset (``C``/``L``/``LD``/``S``).  The returned pseudo-op
     costs nothing itself; the kernel expands it in place, so yielding
     ``run_block([load_dep(a), load_dep(b)])`` simulates identically to
-    yielding the two loads — but the declared run is what the
-    vectorized fast tier can execute as a batch.  Passing an
-    :class:`~repro.sim.fastpath.OpBlock` built earlier reuses its
-    precomputed form (build once per inner loop, yield many times).
+    yielding the two loads while resuming the generator once instead of
+    twice.  Passing an :class:`OpBlock` built earlier reuses it (build
+    once per inner loop, yield many times).
     """
-    from .fastpath import OpBlock
-
     if not isinstance(ops, OpBlock):
         ops = OpBlock(ops)
     return (RUN_BLOCK, ops)

@@ -67,30 +67,17 @@ __all__ = [
     "MachineModel",
     "EVENT",
     "INTERLEAVED",
-    "TIERS",
     "CHECKPOINT_STATE_VERSION",
 ]
 
 #: Version of the kernel-state dict produced by :meth:`SimKernel.snapshot`.
 #: Bumped whenever the snapshot layout changes, so stale on-disk
 #: checkpoints are rejected structurally instead of misrestoring.
-CHECKPOINT_STATE_VERSION = 1
+CHECKPOINT_STATE_VERSION = 2
 
 #: Scheduling disciplines a :class:`MachineModel` may declare.
 EVENT = "event"
 INTERLEAVED = "interleaved"
-
-#: Execution tiers a caller may request (see docs/SIMULATION.md,
-#: "Execution tiers").  ``auto`` picks ``vector`` whenever the machine
-#: publishes a :meth:`MachineModel.vector_profile` and nobody demands
-#: per-op fidelity (an ``on_op``/``on_op_span``/``on_sync`` subscriber
-#: — a checker or an op-level tracer); otherwise ``interpreted``.
-TIERS = ("auto", "interpreted", "vector")
-
-#: HookBus events whose subscribers require the interpreted tier: they
-#: observe individual ops or sync transitions, which the vectorized
-#: windows skip by construction.
-_FIDELITY_EVENTS = ("on_op", "on_op_span", "on_sync")
 
 
 class MachineModel:
@@ -194,13 +181,6 @@ class MachineModel:
         """The machine's ``SimReport.detail`` dict (contention counters)."""
         return {}
 
-    def vector_profile(self):
-        """A :class:`~repro.sim.fastpath.VectorProfile` if the vectorized
-        fast tier may run on this machine, else None (the default: a
-        machine must opt in by declaring which closed-form fast-forwards
-        are sound for its memory model)."""
-        return None
-
     # -- serializable-state contract (checkpoint/restore) ----------------------
 
     #: Version of the dict produced by :meth:`to_state`; bump on layout
@@ -291,14 +271,9 @@ class SimKernel:
     hooks:
         Additional pre-built hook objects (any object implementing a
         subset of :data:`~repro.sim.hooks.HOOK_EVENTS`).
-    tier:
-        Execution tier (one of :data:`TIERS`): ``"auto"`` (default)
-        uses the vectorized fast path whenever the machine supports it
-        and no subscriber demands per-op fidelity; ``"interpreted"``
-        forces the per-op path; ``"vector"`` demands the fast path and
-        raises :class:`~repro.errors.ConfigurationError` if fidelity
-        requirements or the machine forbid it — never a silent
-        downgrade.  ``run(tier=...)`` overrides per run.
+    record:
+        Log every generator resume so :meth:`snapshot` works
+        (checkpoint/restore).
     """
 
     def __init__(
@@ -308,7 +283,6 @@ class SimKernel:
         tracer=None,
         check=None,
         hooks=(),
-        tier="auto",
         record=False,
     ):
         self.model = model
@@ -345,17 +319,6 @@ class SimKernel:
         self._h_span = None
         self._h_sync = None
         self._h_release = None
-        if tier not in TIERS:
-            raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        self.tier = tier
-        #: Tier the last run resolved to ("vector" or "interpreted").
-        self.tier_used: str | None = None
-        #: True when a mid-run subscription forced the vector tier to
-        #: demote to per-op execution for the rest of the run.
-        self.tier_demoted = False
-        #: Fast-forward window accounting (not part of SimReport — the
-        #: report must stay byte-identical across tiers).
-        self._window_stats = {"windows": 0, "ops": 0}
         # checkpoint/restore machinery: when recording, every generator
         # resume is logged (tid order + non-None sent values) so restore
         # can replay the run's Python-side effects exactly; the setup
@@ -541,7 +504,6 @@ class SimKernel:
             "barrier_wait_per_proc": list(self.barrier_wait_per_proc),
             "barrier_episodes": self.barrier_episodes,
             "barrier_stats": {k: list(v) for k, v in self.barrier_stats.items()},
-            "window_stats": dict(self._window_stats),
             "log": self.resume_log(),
             "model": model.to_state(),
         }
@@ -660,7 +622,6 @@ class SimKernel:
         self.barrier_wait_per_proc = list(state["barrier_wait_per_proc"])
         self.barrier_episodes = state["barrier_episodes"]
         self.barrier_stats = {k: list(v) for k, v in state["barrier_stats"].items()}
-        self._window_stats = dict(state["window_stats"])
         if not self.event_mode:
             for pi, (pr, ps) in enumerate(zip(self.procs, state["procs"], strict=False)):
                 pr.issued = ps["issued"]
@@ -689,13 +650,11 @@ class SimKernel:
 
     @property
     def window_stats(self) -> dict:
-        """Fast-tier fast-forward accounting: windows fired and ops
-        they bulk-executed.  Diagnostic only — never in the report."""
-        return dict(self._window_stats)
-
-    def _fidelity_demanded(self) -> bool:
-        bus = self.bus
-        return any(bus.listeners(e) is not None for e in _FIDELITY_EVENTS)
+        """Always ``{"windows": 0, "ops": 0}``: the kernel has one
+        execution path and never batch-executes ops.  Kept only because
+        perfbench's traced mode (``perfbench/tracing.py``) reads it after
+        every run; remove it once that reader is gone."""
+        return {"windows": 0, "ops": 0}
 
     def _refresh_listeners(self):
         """Re-read listener tuples after a mid-run ``HookBus.add``.
@@ -719,7 +678,6 @@ class SimKernel:
         name: str = "phase",
         budget: int | None = None,
         *,
-        tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
         service=None,
@@ -731,11 +689,6 @@ class SimKernel:
         :class:`~repro.errors.WatchdogExceeded` carrying the blocked
         inventory and the phase slices closed at the abort point (plus a
         resumable post-mortem checkpoint when the kernel is recording).
-
-        ``tier`` overrides the kernel's configured execution tier for
-        this run (see the constructor); both tiers produce
-        byte-identical reports — the fast one merely skips the
-        interpreter where nothing observable happens.
 
         ``checkpoint_every`` takes a :meth:`snapshot` at the first
         scheduling boundary at or past every multiple of that many
@@ -769,10 +722,6 @@ class SimKernel:
             raise ConfigurationError(
                 f"{len(self.threads)} programs attached but machine has p={self.p}"
             )
-        if tier is None:
-            tier = self.tier
-        elif tier not in TIERS:
-            raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
         if checkpoint_every is not None:
             if checkpoint_every < 1:
                 raise ConfigurationError("checkpoint_every must be >= 1")
@@ -793,29 +742,6 @@ class SimKernel:
         self._h_span = bus.listeners("on_op_span")
         self._h_sync = bus.listeners("on_sync")
         self._h_release = bus.listeners("on_barrier_release")
-        fidelity = self._fidelity_demanded()
-        profile = self.model.vector_profile()
-        if tier == "vector":
-            if profile is None:
-                raise ConfigurationError(
-                    f"tier='vector' requested but the {self.model.kind!r} machine "
-                    "publishes no vector profile (per-op semantics, e.g. bank "
-                    "queueing, admit no closed-form fast-forward)"
-                )
-            if fidelity:
-                raise ConfigurationError(
-                    "tier='vector' conflicts with per-op instrumentation "
-                    "(an on_op/on_op_span/on_sync subscriber — a concurrency "
-                    "checker or an op-level tracer); use tier='auto' or "
-                    "'interpreted'"
-                )
-            fast = True
-        elif tier == "interpreted":
-            fast = False
-        else:  # auto
-            fast = profile is not None and not fidelity
-        self.tier_used = "vector" if fast else "interpreted"
-        self.tier_demoted = False
         ctx = self._resume_ctx
         if ctx is not None:
             # continuing a checkpointed run: keep its name and do not
@@ -831,12 +757,11 @@ class SimKernel:
         try:
             if self.event_mode:
                 report = self._run_event(
-                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx
+                    name, budget, checkpoint_every, checkpoint_sink, ctx
                 )
             else:
                 report = self._run_interleaved(
-                    name, budget, fast, checkpoint_every, checkpoint_sink, ctx,
-                    service,
+                    name, budget, checkpoint_every, checkpoint_sink, ctx, service
                 )
         finally:
             self._resume_ctx = None
@@ -852,7 +777,6 @@ class SimKernel:
         self,
         name: str,
         budget: int,
-        fast: bool = False,
         ckpt_every: int | None = None,
         ckpt_sink=None,
         ctx: dict | None = None,
@@ -898,144 +822,123 @@ class SimKernel:
             (steps // ckpt_every + 1) * ckpt_every if ckpt_every is not None else None
         )
 
-        # One pass of the inner loop is one scheduling step — identical
-        # whether the thread was re-popped from the heap (interpreted)
-        # or continued inline (fast superblock: when the thread's next
-        # event still precedes everything on the heap, push+pop would
-        # return it immediately, so the fast tier skips the heap churn;
-        # the `(time, idx)` tie-break reproduces the heap order exactly).
+        # One pass of the loop is one scheduling step: pop the earliest
+        # thread, execute one op (or pseudo-op), push it back.
         while heap:
             if next_ckpt is not None and steps >= next_ckpt:
                 self._emit_checkpoint(ckpt_sink, {"steps": steps})
                 next_ckpt = (steps // ckpt_every + 1) * ckpt_every
             time, idx = heappop(heap)
             t = threads[idx]
-            inline = True
-            while inline:
-                inline = False
-                steps += 1
-                if steps > budget:
-                    # the aborted step was never executed: the popped
-                    # thread is still READY at `time`, so the snapshot's
-                    # derived heap re-includes it and a resume with a
-                    # larger budget re-attempts exactly this step
-                    self._abort_watchdog(
-                        budget,
-                        f"exceeded max_ops={budget}",
-                        time,
-                        progress={"steps": steps - 1},
-                    )
-                if bus.version != ver:
-                    ver = bus.version
-                    h_op, h_phase = self._refresh_listeners()
-                    h_span = self._h_span
-                    h_release = self._h_release
-                    if fast and (h_op is not None or h_span is not None
-                                 or self._h_sync is not None):
-                        fast = False
-                        self.tier_demoted = True
-                blk = t.fblock
-                if blk is not None:
-                    op = blk.ops[t.fbpos]
-                    t.fbpos += 1
-                    if t.fbpos == blk.n:
-                        t.fblock = None
-                else:
-                    sent = t.pending_value
-                    try:
-                        op = t.gen.send(sent)
-                    except StopIteration:
-                        if rec_append is not None:  # replay must re-run the tail
-                            rec_append(idx)
-                            if sent is not None:
-                                rec_vals.append((len(rec) - 1, sent))
-                        t.state = DONE
-                        break
-                    t.pending_value = None
-                    if rec_append is not None:
+            steps += 1
+            if steps > budget:
+                # the aborted step was never executed: the popped
+                # thread is still READY at `time`, so the snapshot's
+                # derived heap re-includes it and a resume with a
+                # larger budget re-attempts exactly this step
+                self._abort_watchdog(
+                    budget,
+                    f"exceeded max_ops={budget}",
+                    time,
+                    progress={"steps": steps - 1},
+                )
+            if bus.version != ver:
+                ver = bus.version
+                h_op, h_phase = self._refresh_listeners()
+                h_span = self._h_span
+                h_release = self._h_release
+            blk = t.fblock
+            if blk is not None:
+                op = blk.ops[t.fbpos]
+                t.fbpos += 1
+                if t.fbpos == blk.n:
+                    t.fblock = None
+            else:
+                sent = t.pending_value
+                try:
+                    op = t.gen.send(sent)
+                except StopIteration:
+                    if rec_append is not None:  # replay must re-run the tail
                         rec_append(idx)
                         if sent is not None:
                             rec_vals.append((len(rec) - 1, sent))
-                tag = op[0]
-                if tag == PHASE:  # zero-cost marker: no slot, no time
-                    if h_phase is not None:
-                        for fn in h_phase:
-                            fn(idx, op[1])
-                    if time > last_mark:
-                        last_mark = time
-                    snaps.append(
-                        (last_mark, op[1], self._issued_total(), dict(op_counts))
-                    )
-                    if fast and not (heap and heap[0] < (time, idx)):
-                        inline = True
-                        continue
-                    heappush(heap, (time, idx))
-                    break
-                if tag == RUN_BLOCK:  # zero-cost macro: expand in place
-                    b = op[1]
-                    if b.n:
-                        t.fblock = b
-                        t.fbpos = 0
-                    if fast and not (heap and heap[0] < (time, idx)):
-                        inline = True
-                        continue
-                    heappush(heap, (time, idx))
-                    break
-                t.issued += 1
-                op_counts[tag] = op_counts.get(tag, 0) + 1
-                if h_op is not None:
-                    for fn in h_op:
-                        fn(idx, op)
-                if tag == BARRIER:
-                    bid = op[1]
-                    b = barriers.get(bid)
-                    if b is None:
-                        if implicit:
-                            b = barriers[bid] = _Barrier(need=p)
-                        else:
-                            raise SimulationError(
-                                f"barrier {bid!r} was never registered"
-                            )
-                    t.state = WAIT_BARRIER
-                    t.wait_key = bid
-                    t.time = time
-                    b.waiting.append(t)
-                    if len(b.waiting) == b.need:
-                        if h_release is not None:
-                            tids = [w.tid for w in b.waiting]
-                            for fn in h_release:
-                                fn(bid, tids)
-                        release = max(w.time for w in b.waiting) + barrier_cost
-                        self.barrier_episodes += 1
-                        for w in b.waiting:
-                            arrival = w.time
-                            barrier_wait[w.tid] += release - arrival
-                            if h_span is not None:
-                                for fn in h_span:
-                                    fn(f"B:{bid}", arrival, release, w.tid, 0, None)
-                            w.time = release
-                            w.state = READY
-                            w.wait_key = None
-                            heappush(heap, (release, w.tid))
-                        b.waiting = []
-                    break  # pushed (or parked) above
-                handler = dispatch_get(tag)
-                if handler is None:
-                    raise SimulationError(
-                        f"unknown opcode {tag!r} on {model.kind.upper()} "
-                        f"processor {idx}"
-                    )
-                end = handler(t, op, time)
-                t.time = end
-                if h_span is not None:
-                    args = {"addr": op[1]} if tag != COMPUTE else {}
-                    for fn in h_span:
-                        fn(tag, time, end, idx, 0, args)
-                if fast and not (heap and heap[0] < (end, idx)):
-                    time = end
-                    inline = True
+                    t.state = DONE
                     continue
-                heappush(heap, (end, idx))
+                t.pending_value = None
+                if rec_append is not None:
+                    rec_append(idx)
+                    if sent is not None:
+                        rec_vals.append((len(rec) - 1, sent))
+            tag = op[0]
+            if tag == PHASE:  # zero-cost marker: no slot, no time
+                if h_phase is not None:
+                    for fn in h_phase:
+                        fn(idx, op[1])
+                if time > last_mark:
+                    last_mark = time
+                snaps.append(
+                    (last_mark, op[1], self._issued_total(), dict(op_counts))
+                )
+                heappush(heap, (time, idx))
+                continue
+            if tag == RUN_BLOCK:  # zero-cost macro: expand in place
+                b = op[1]
+                if b.n:
+                    t.fblock = b
+                    t.fbpos = 0
+                heappush(heap, (time, idx))
+                continue
+            t.issued += 1
+            op_counts[tag] = op_counts.get(tag, 0) + 1
+            if h_op is not None:
+                for fn in h_op:
+                    fn(idx, op)
+            if tag == BARRIER:
+                bid = op[1]
+                b = barriers.get(bid)
+                if b is None:
+                    if implicit:
+                        b = barriers[bid] = _Barrier(need=p)
+                    else:
+                        raise SimulationError(
+                            f"barrier {bid!r} was never registered"
+                        )
+                t.state = WAIT_BARRIER
+                t.wait_key = bid
+                t.time = time
+                b.waiting.append(t)
+                if len(b.waiting) == b.need:
+                    if h_release is not None:
+                        tids = [w.tid for w in b.waiting]
+                        for fn in h_release:
+                            fn(bid, tids)
+                    release = max(w.time for w in b.waiting) + barrier_cost
+                    self.barrier_episodes += 1
+                    for w in b.waiting:
+                        arrival = w.time
+                        barrier_wait[w.tid] += release - arrival
+                        if h_span is not None:
+                            for fn in h_span:
+                                fn(f"B:{bid}", arrival, release, w.tid, 0, None)
+                        w.time = release
+                        w.state = READY
+                        w.wait_key = None
+                        heappush(heap, (release, w.tid))
+                    b.waiting = []
+                continue  # pushed (or parked) above
+            handler = dispatch_get(tag)
+            if handler is None:
+                raise SimulationError(
+                    f"unknown opcode {tag!r} on {model.kind.upper()} "
+                    f"processor {idx}"
+                )
+            end = handler(t, op, time)
+            t.time = end
+            if h_span is not None:
+                args = {"addr": op[1]} if tag != COMPUTE else {}
+                for fn in h_span:
+                    fn(tag, time, end, idx, 0, args)
+            heappush(heap, (end, idx))
 
         parked = [t.tid for t in threads if t.state == WAIT_BARRIER]
         if parked:
@@ -1068,7 +971,6 @@ class SimKernel:
         self,
         name: str,
         budget: int,
-        fast: bool = False,
         ckpt_every: int | None = None,
         ckpt_sink=None,
         ctx: dict | None = None,
@@ -1102,10 +1004,6 @@ class SimKernel:
         next_ckpt = (
             (cycle // ckpt_every + 1) * ckpt_every if ckpt_every is not None else None
         )
-        if fast:
-            from .fastpath import try_ld_window
-        else:
-            try_ld_window = None
         # service points: the callback runs before any issue at every
         # cycle >= svc_next; it returns the next cycle it needs control.
         # A model handler may pull the next point forward mid-window by
@@ -1147,20 +1045,6 @@ class SimKernel:
             if bus.version != ver:  # a hook attached mid-run
                 ver = bus.version
                 h_op, h_phase = self._refresh_listeners()
-                if fast and (h_op is not None or self._h_span is not None
-                             or self._h_sync is not None):
-                    fast = False  # per-op fidelity demanded: demote
-                    self.tier_demoted = True
-            if fast:
-                # fast-forward the pure-LD regime in closed form; the
-                # window ends (or never opens) exactly where per-op
-                # execution must resume.  A pending service point caps
-                # the window so no external event is jumped over.
-                w_budget = budget if svc_next is None else min(budget, svc_next - 1)
-                w = try_ld_window(self, cycle, w_budget)
-                if w is not None:
-                    cycle, last_issue = w
-                    continue
             any_ready = False
             for proc in procs:
                 wake = proc.wake

@@ -121,17 +121,6 @@ class MTAMachine(MachineModel):
     def barrier_release_cost(self) -> int:
         return self.barrier_latency
 
-    def vector_profile(self):
-        """The fast tier may run only with bank modeling off: uniform
-        memory latency is what makes the pure-LD rotation schedule
-        closable in closed form.  With banks on, every address
-        interacts through per-bank queues — per-op execution only."""
-        if self.n_banks:
-            return None
-        from .fastpath import VectorProfile
-
-        return VectorProfile(uniform_mem=True)
-
     def init_counter(self, addr: int, value: int) -> None:
         self.fa_values[addr] = value
 
@@ -513,11 +502,6 @@ class MTAEngine:
         inventory.
     hooks:
         Additional :class:`~repro.sim.hooks.HookBus` subscribers.
-    tier:
-        Execution tier (``"auto"``/``"interpreted"``/``"vector"``; see
-        :class:`~repro.sim.kernel.SimKernel`).  Both tiers report
-        byte-identically; ``"auto"`` vectorizes whenever bank modeling
-        is off and no per-op observer is attached.
     """
 
     #: The MachineModel this facade instantiates; subclasses override.
@@ -530,7 +514,6 @@ class MTAEngine:
         tracer=None,
         check=None,
         hooks=(),
-        tier="auto",
         session=None,
         record: bool = False,
         **params,
@@ -545,7 +528,6 @@ class MTAEngine:
             tracer=tracer,
             check=check,
             hooks=hooks,
-            tier=tier,
             record=record or session is not None,
         )
 
@@ -580,25 +562,22 @@ class MTAEngine:
         max_cycles: int = 200_000_000,
         *,
         budget: int | None = None,
-        tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
     ):
         """Execute until every spawned thread finishes; return measurements.
 
         ``max_cycles`` is the historical name for the kernel ``budget``
-        (cycles); ``budget`` wins when both are given.  ``tier``
-        overrides the engine's configured execution tier for this run.
+        (cycles); ``budget`` wins when both are given.
         ``checkpoint_every``/``checkpoint_sink`` pass through to
         :meth:`SimKernel.run` (ignored when a session manages the run).
         """
         budget = budget if budget is not None else max_cycles
         if self.session is not None:
-            return self.session.run(self.kernel, name, budget=budget, tier=tier)
+            return self.session.run(self.kernel, name, budget=budget)
         return self.kernel.run(
             name,
             budget=budget,
-            tier=tier,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
         )

@@ -647,7 +647,6 @@ def run_sharded(
     remote_latency=None,
     name: str = "run",
     budget: int | None = None,
-    tier: str | None = None,
     collect_events: bool = False,
     record: bool = False,
     checkpoint: dict | None = None,
@@ -738,7 +737,6 @@ def run_sharded(
             "builder_args": tuple(builder_args),
             "name": name,
             "budget": budget,
-            "tier": tier,
             "record": record,
             "every": (checkpoint or {}).get("every"),
             "collect_events": collect_events,

@@ -16,8 +16,7 @@ normalizations make the comparison well-defined:
 Event *order* across workers is not defined (each kernel emits
 independently), so :meth:`canonical` sorts the records; equality of the
 sorted streams is the "byte-identical hook event stream" acceptance
-check.  Note that subscribing to these events demands per-op fidelity,
-which demotes the vector tier exactly as any tracer does.
+check.
 """
 
 from __future__ import annotations

@@ -180,14 +180,6 @@ class ShardMixin:
         keep the kernel's own (byte-identical) barrier path."""
         return self.plan.k > 1
 
-    def vector_profile(self):
-        """The LD fast-forward assumes every dependent load costs
-        ``mem_latency``; with remote plain loads charged
-        ``remote_latency`` that only holds when the two are equal."""
-        if self.plan.k > 1 and self.remote_latency != self.mem_latency:
-            return None
-        return super().vector_profile()
-
     def init_counter(self, addr: int, value: int) -> None:
         self._check_owned(addr, "fetch-add cell")
         super().init_counter(addr, value)

@@ -130,7 +130,7 @@ class ShardWorker:
     ``plan``, ``parts`` ``(lo, hi)``,
     ``base`` (machine class, default :class:`MTAMachine`), ``params``
     (machine kwargs), ``remote_latency``, ``builder``/``builder_args``,
-    ``name``, ``budget``, ``tier``, ``record``, ``every`` (checkpoint
+    ``name``, ``budget``, ``record``, ``every`` (checkpoint
     cadence), ``resume_state``, ``collect_events``.
     """
 
@@ -264,7 +264,6 @@ class ShardWorker:
         return self.kernel.run(
             spec.get("name", "run"),
             spec.get("budget"),
-            tier=spec.get("tier"),
             **kwargs,
         )
 
@@ -292,7 +291,6 @@ class ShardWorker:
         report = self.kernel.run(
             spec.get("name", "run"),
             spec.get("budget"),
-            tier=spec.get("tier"),
             service=self._service,
         )
         self._end_cycle = report.cycles

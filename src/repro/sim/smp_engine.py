@@ -73,14 +73,6 @@ class SMPMachine(MachineModel):
     def barrier_release_cost(self) -> float:
         return self.config.barrier_cycles(self.p)
 
-    def vector_profile(self):
-        """Event machines fast-forward by superblock continuation inside
-        the kernel loop (no heap churn while a thread stays earliest),
-        which holds for any event-mode cost model — always allowed."""
-        from .fastpath import VectorProfile
-
-        return VectorProfile()
-
     def init_counter(self, addr: int, value: int) -> None:
         self.fa_values[addr] = value
 
@@ -244,7 +236,6 @@ class SMPEngine:
         tracer=None,
         check=None,
         hooks=(),
-        tier: str = "auto",
         session=None,
         record: bool = False,
     ) -> None:
@@ -255,7 +246,6 @@ class SMPEngine:
             tracer=tracer,
             check=check,
             hooks=hooks,
-            tier=tier,
             record=record or session is not None,
         )
 
@@ -299,7 +289,6 @@ class SMPEngine:
         max_ops: int = 500_000_000,
         *,
         budget: int | None = None,
-        tier: str | None = None,
         checkpoint_every: int | None = None,
         checkpoint_sink=None,
     ):
@@ -307,17 +296,15 @@ class SMPEngine:
 
         ``max_ops`` is the historical name for the kernel ``budget``
         (scheduling steps); ``budget`` wins when both are given.
-        ``tier`` overrides the engine's configured execution tier.
         ``checkpoint_every``/``checkpoint_sink`` pass through to
         :meth:`SimKernel.run` (ignored when a session manages the run).
         """
         budget = budget if budget is not None else max_ops
         if self.session is not None:
-            return self.session.run(self.kernel, name, budget=budget, tier=tier)
+            return self.session.run(self.kernel, name, budget=budget)
         return self.kernel.run(
             name,
             budget=budget,
-            tier=tier,
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
         )

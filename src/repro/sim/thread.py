@@ -56,11 +56,10 @@ class SimThread:
     #: Machine-model-private per-thread state (e.g. the SMP's per-
     #: processor cache hierarchy); opaque to the kernel.
     mstate: object = None  # nostate: serialized by the owning machine model
-    #: Active :class:`~repro.sim.fastpath.OpBlock` being expanded (a
+    #: Active :class:`~repro.sim.isa.OpBlock` being expanded (a
     #: ``VR`` pseudo-op's precompiled straight-line run), or None.  The
     #: kernel pulls the next op from ``fblock.ops[fbpos]`` before
-    #: resuming the generator; the fast tier batch-executes the same
-    #: block, so both tiers consume it op for op.
+    #: resuming the generator.
     fblock: object = None  # nostate: snapshot keeps fbpos; replay rebuilds the block
     #: Next unexecuted position within :attr:`fblock`.
     fbpos: int = 0

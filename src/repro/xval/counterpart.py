@@ -28,8 +28,9 @@ import math
 
 import numpy as np
 
+from ..backends.base import int_value
 from ..core.cost import StepCost
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError, SimulationError, require_positive
 from ..sim.branch import OneBitPredictor
 
 __all__ = ["COUNTERPARTS", "has_counterpart", "counterpart_predictions"]
@@ -237,6 +238,36 @@ def _mta_cc_steps(
     return steps
 
 
+def float_option(options: dict, key: str, default: float) -> float:
+    """``options[key]`` as a float (``default`` when unset); a value that
+    is not a finite number is a :class:`ConfigurationError` naming the key."""
+    value = options.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigurationError(f"option {key!r} must be a number, got {value!r}")
+
+
+def cc_options(options: dict) -> dict:
+    """The integer CC knobs of ``options``, checked: ``max_iter`` for
+    both machines plus the MTA's ``streams_per_proc`` and
+    ``edges_per_chunk``, each at least 1."""
+    knobs = {
+        "max_iter": int_value(options, "max_iter", 64, option=True),
+        "streams_per_proc": int_value(options, "streams_per_proc", 100, option=True),
+        "edges_per_chunk": int_value(options, "edges_per_chunk", 16, option=True),
+    }
+    require_positive(**knobs)
+    return knobs
+
+
 def _smp_cc(data, p: int, options: dict):
     from ..core.smp_machine import SMPMachine, SUN_E4500
 
@@ -246,10 +277,10 @@ def _smp_cc(data, p: int, options: dict):
             f"unknown SMP CC variant {variant!r}"
             " (choose from: branchy, branch-avoiding)"
         )
-    penalty = float(options.get("penalty", 0.0))
+    penalty = float_option(options, "penalty", 0.0)
     cfg = dataclasses.replace(SUN_E4500, mispredict_penalty_cycles=penalty)
     steps = _smp_cc_steps(
-        data, p, variant=variant, max_iter=int(options.get("max_iter", 64))
+        data, p, variant=variant, max_iter=cc_options(options)["max_iter"]
     )
     machine = SMPMachine(p=p, config=cfg, use_traces=False)
     return machine.predict_phases(steps)
@@ -263,13 +294,7 @@ def _mta_cc(data, p: int, options: dict):
             "branch variants are SMP-only: the MTA hides branch latency"
             " behind stream interleaving, so there is nothing to separate"
         )
-    steps = _mta_cc_steps(
-        data,
-        p,
-        max_iter=int(options.get("max_iter", 64)),
-        streams_per_proc=int(options.get("streams_per_proc", 100)),
-        edges_per_chunk=int(options.get("edges_per_chunk", 16)),
-    )
+    steps = _mta_cc_steps(data, p, **cc_options(options))
     return MTAMachine(p=p).predict_phases(steps)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from ..backends import create
 from ..backends.base import Workload
 from ..errors import ConfigurationError
-from .counterpart import counterpart_predictions, has_counterpart
+from .counterpart import cc_options, counterpart_predictions, float_option, has_counterpart
 from .divergence import DivergenceReport
 
 __all__ = ["DEFAULT_PENALTY", "run_xval", "branch_separation"]
@@ -36,7 +36,7 @@ __all__ = ["DEFAULT_PENALTY", "run_xval", "branch_separation"]
 DEFAULT_PENALTY = 4.0
 
 #: Options consumed by run_xval itself; everything else passes through
-#: to the engine workload untouched (tier, streams_per_proc, ...).
+#: to the engine workload untouched (streams_per_proc, max_iter, ...).
 _XVAL_OPTIONS = ("machine", "variant", "penalty")
 
 
@@ -55,7 +55,7 @@ def run_xval(workload: Workload):
         :data:`DEFAULT_PENALTY`); applied identically to the analytic
         model and the engine config.
 
-    Remaining options (``max_iter``, ``tier``, ``streams_per_proc``,
+    Remaining options (``max_iter``, ``streams_per_proc``,
     ``edges_per_chunk``, ...) pass through to the engine workload.
     """
     kind = workload.kind
@@ -64,8 +64,8 @@ def run_xval(workload: Workload):
         # Delegate so the structured error message lives in one place.
         counterpart_predictions(kind, machine, None, workload.p, {})
     variant = workload.option("variant")
-    penalty = float(workload.option("penalty", DEFAULT_PENALTY))
-    max_iter = int(workload.option("max_iter", 64))
+    penalty = float_option(workload.options, "penalty", DEFAULT_PENALTY)
+    knobs = cc_options(workload.options)
 
     passthrough = {
         k: v for k, v in workload.options.items() if k not in _XVAL_OPTIONS
@@ -75,7 +75,7 @@ def run_xval(workload: Workload):
             variant = "branchy"
         eng = create("smp-engine", config={"mispredict_penalty_cycles": penalty})
         eng_options = dict(passthrough, variant=variant)
-        pred_options = {"variant": variant, "penalty": penalty, "max_iter": max_iter}
+        pred_options = {"variant": variant, "penalty": penalty, "max_iter": knobs["max_iter"]}
     elif machine == "mta":
         if variant is not None:
             raise ConfigurationError(
@@ -84,12 +84,7 @@ def run_xval(workload: Workload):
             )
         eng = create("mta-engine")
         eng_options = dict(passthrough)
-        pred_options = {
-            "variant": None,
-            "max_iter": max_iter,
-            "streams_per_proc": int(passthrough.get("streams_per_proc", 100)),
-            "edges_per_chunk": int(passthrough.get("edges_per_chunk", 16)),
-        }
+        pred_options = dict(knobs, variant=None)
     else:
         raise ConfigurationError(
             f"unknown xval machine {machine!r}; expected 'smp' or 'mta'"

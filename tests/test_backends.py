@@ -45,7 +45,7 @@ class TestRegistry:
         assert row["kinds"] == ["rank", "cc", "chase"]
         assert row["machine"] == "mta-next"
         assert row["hooks"] == list(HOOK_EVENTS)
-        assert row["tiers"] == ["interpreted"]
+        assert "tiers" not in row
         assert row["checkpoint"] and row["shardable"]
 
     def test_register_model_engine_backend(self):
@@ -319,6 +319,7 @@ class TestShardedExecution:
         ({"bogus": 1}, "unknown engine_kwargs key(s) 'bogus' for MTAMachine"),
         ("mem_latency=5", "option 'engine_kwargs' must be a mapping"),
         (7, "option 'engine_kwargs' must be a mapping"),
+        ({"tier": "vector"}, "unknown engine_kwargs key(s) 'tier' for MTAMachine"),
     ])
     @pytest.mark.parametrize("shards", [1, 2])
     def test_bad_engine_kwargs_are_configuration_errors(self, engine_kwargs, message, shards):
@@ -327,7 +328,7 @@ class TestShardedExecution:
             create("mta-engine").run(w)
 
     def test_engine_kwargs_checked_against_the_backends_machine(self):
-        w = self._cc(engine_kwargs={"n_banks": 0, "mem_latency": 50, "tier": "interpreted"})
+        w = self._cc(engine_kwargs={"n_banks": 0, "mem_latency": 50})
         assert create("mta-next-engine").run(w).cycles > 0
         w = self._cc(engine_kwargs={"record": True})
         with pytest.raises(ConfigurationError, match="for MTANextMachine"):

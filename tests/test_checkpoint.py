@@ -6,7 +6,8 @@ pushed through ``pickle`` (the process boundary), restored into a
 *freshly built* engine and run to completion, must produce a
 :class:`~repro.sim.SimReport` — and shared-array side effects, and the
 hook event stream — byte-identical to the uninterrupted run.  On both
-machines, on both execution tiers, at arbitrary boundaries (the
+machines, with the programs as written and with every plain op
+delivered as a one-op ``VR`` run block, at arbitrary boundaries (the
 Hypothesis property below reuses the differential fuzzer's program
 generator from :mod:`tests.test_sim_fuzz`).
 
@@ -51,16 +52,21 @@ from repro.sim.isa import (
     sync_load_consume,
     sync_store,
 )
-from tests.test_sim_fuzz import _fuzz_programs, _gen_of, _report_blob
+from tests.test_sim_fuzz import _fuzz_programs, _gen_of, _report_blob, as_run_blocks
 
 # ---------------------------------------------------------------------------
 # deterministic builders (module-level so the subprocess test can import them)
 # ---------------------------------------------------------------------------
 
 
-def build_mta(record=False, session=None):
+def _as_is(gen):
+    return gen
+
+
+def build_mta(record=False, session=None, wrap=_as_is):
     """A small MTA workload covering every stateful construct: counters,
-    barriers, phases, full/empty sync, run_block chains, shared arrays."""
+    barriers, phases, full/empty sync, run_block chains, shared arrays.
+    ``wrap`` is applied to every program generator."""
     eng = MTAEngine(p=2, record=record, session=session)
     arr = np.zeros(64, dtype=np.int64)
 
@@ -83,11 +89,11 @@ def build_mta(record=False, session=None):
     eng.set_counter(1000, 0)
     eng.register_barrier("b0", 4)
     for wid in range(4):
-        eng.spawn(worker(wid))
+        eng.spawn(wrap(worker(wid)))
     return eng, arr
 
 
-def build_smp(record=False, session=None):
+def build_smp(record=False, session=None, wrap=_as_is):
     eng = SMPEngine(p=4, record=record, session=session)
     arr = np.zeros(64, dtype=np.int64)
 
@@ -104,7 +110,7 @@ def build_smp(record=False, session=None):
 
     eng.set_counter(100, 0)
     for pid in range(4):
-        eng.attach(prog(pid))
+        eng.attach(wrap(prog(pid)))
     return eng, arr
 
 
@@ -112,8 +118,7 @@ _BUILDERS = {"mta": build_mta, "smp": build_smp}
 
 
 class _LogHook:
-    """Phase-level hook recording the event stream (tier-independent:
-    subscribes to no per-op event, so the vector tier stays legal)."""
+    """Phase-level hook recording the event stream."""
 
     def __init__(self):
         self.events = []
@@ -142,8 +147,14 @@ def _pause_state(eng, pause_at, name="test", **run_kw):
 
 
 # ---------------------------------------------------------------------------
-# round trips: both machines x both tiers x several boundaries
+# round trips: both machines x both program forms x several boundaries
 # ---------------------------------------------------------------------------
+
+#: How the programs hand their plain ops to the kernel: as written, or
+#: each wrapped in a one-op ``VR`` run block (which moves snapshot
+#: boundaries inside run-block expansions).  The ids are those of the
+#: execution tiers this axis took over from.
+_FORMS = {"interpreted": _as_is, "vector": as_run_blocks}
 
 
 #: Pause boundaries per machine (the MTA run spans hundreds of cycles;
@@ -151,51 +162,51 @@ def _pause_state(eng, pause_at, name="test", **run_kw):
 _PAUSES = {"mta": (1, 50, 200), "smp": (1, 20, 80)}
 
 
-@pytest.mark.parametrize("tier", ["interpreted", "vector"])
+@pytest.mark.parametrize("tier", sorted(_FORMS))
 @pytest.mark.parametrize("machine", sorted(_BUILDERS))
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_roundtrip_report_and_memory(machine, tier, which):
     pause_at = _PAUSES[machine][which]
-    build = _BUILDERS[machine]
-    eng0, arr0 = build()
-    rep0 = eng0.run("test", tier=tier)
+    build, wrap = _BUILDERS[machine], _FORMS[tier]
+    eng0, arr0 = build(wrap=wrap)
+    rep0 = eng0.run("test")
 
-    eng1, _ = build(record=True)
-    state = _pause_state(eng1, pause_at, tier=tier)
+    eng1, _ = build(record=True, wrap=wrap)
+    state = _pause_state(eng1, pause_at)
     assert state is not None, "workload finished before the pause boundary"
 
     # the process boundary: the snapshot must survive serialization
     blob = pickle.dumps(state)
-    eng2, arr2 = build()
+    eng2, arr2 = build(wrap=wrap)
     eng2.resume(pickle.loads(blob))
-    rep2 = eng2.run("IGNORED", tier=tier)  # resumed runs keep their name
+    rep2 = eng2.run("IGNORED")  # resumed runs keep their name
     assert _report_blob(rep2) == _report_blob(rep0)
     assert np.array_equal(arr2, arr0)
 
 
-@pytest.mark.parametrize("tier", ["interpreted", "vector"])
+@pytest.mark.parametrize("tier", sorted(_FORMS))
 @pytest.mark.parametrize("machine", sorted(_BUILDERS))
 def test_roundtrip_hook_event_stream(machine, tier):
     """Prefix (before the pause) + continuation (after resume) equals
     the uninterrupted event stream — ``on_run_start`` is not re-emitted
     and no boundary event is doubled or dropped."""
-    build = _BUILDERS[machine]
-    eng0, _ = build()
+    build, wrap = _BUILDERS[machine], _FORMS[tier]
+    eng0, _ = build(wrap=wrap)
     whole = _LogHook()
     eng0.kernel.bus.add(whole)
-    rep0 = eng0.run("test", tier=tier)
+    rep0 = eng0.run("test")
 
-    eng1, _ = build(record=True)
+    eng1, _ = build(record=True, wrap=wrap)
     prefix = _LogHook()
     eng1.kernel.bus.add(prefix)
-    state = _pause_state(eng1, 50, tier=tier)
+    state = _pause_state(eng1, 50)
     assert state is not None
 
-    eng2, _ = build()
+    eng2, _ = build(wrap=wrap)
     tail = _LogHook()
     eng2.kernel.bus.add(tail)
     eng2.resume(pickle.loads(pickle.dumps(state)))
-    rep2 = eng2.run("IGNORED", tier=tier)
+    rep2 = eng2.run("IGNORED")
     assert prefix.events + tail.events == whole.events
     assert rep2.name == rep0.name == "test"
 
@@ -205,7 +216,7 @@ def test_roundtrip_hook_event_stream(machine, tier):
 # ---------------------------------------------------------------------------
 
 
-def _fuzz_engine(machine, seed, record=False):
+def _fuzz_engine(machine, seed, record=False, wrap=_as_is):
     """Deterministic engine + matched fuzz programs for ``seed`` —
     identical construction on every call, which is exactly what restore
     relies on (the workload is rebuilt, not unpickled)."""
@@ -227,7 +238,7 @@ def _fuzz_engine(machine, seed, record=False):
     if with_barrier:
         eng.register_barrier("bz", len(progs))
     for ops in progs:
-        (eng.spawn if machine == "mta" else eng.attach)(_gen_of(ops))
+        (eng.spawn if machine == "mta" else eng.attach)(wrap(_gen_of(ops)))
     if machine == "mta":
 
         def producer(addr, value, delay):
@@ -240,8 +251,8 @@ def _fuzz_engine(machine, seed, record=False):
             del v
 
         for addr, value, d1, d2 in pairs:
-            eng.spawn(producer(addr, value, d1))
-            eng.spawn(consumer(addr, d2))
+            eng.spawn(wrap(producer(addr, value, d1)))
+            eng.spawn(wrap(consumer(addr, d2)))
     return eng
 
 
@@ -250,22 +261,22 @@ def _fuzz_engine(machine, seed, record=False):
     seed=st.integers(min_value=0, max_value=2**31),
     pause_at=st.integers(min_value=1, max_value=400),
     machine=st.sampled_from(["mta", "smp"]),
-    tier=st.sampled_from(["interpreted", "vector"]),
+    form=st.sampled_from(sorted(_FORMS)),
 )
-def test_roundtrip_property_fuzzed_programs(seed, pause_at, machine, tier):
-    rep0 = _fuzz_engine(machine, seed).run("fuzz", 10_000_000, tier=tier)
+def test_roundtrip_property_fuzzed_programs(seed, pause_at, machine, form):
+    wrap = _FORMS[form]
+    rep0 = _fuzz_engine(machine, seed, wrap=wrap).run("fuzz", 10_000_000)
     state = _pause_state(
-        _fuzz_engine(machine, seed, record=True),
+        _fuzz_engine(machine, seed, record=True, wrap=wrap),
         pause_at,
         name="fuzz",
         budget=10_000_000,
-        tier=tier,
     )
     if state is None:
         return  # run shorter than the first boundary: nothing to resume
-    eng2 = _fuzz_engine(machine, seed)
+    eng2 = _fuzz_engine(machine, seed, wrap=wrap)
     eng2.resume(pickle.loads(pickle.dumps(state)))
-    rep2 = eng2.run("IGNORED", 10_000_000, tier=tier)
+    rep2 = eng2.run("IGNORED", 10_000_000)
     assert _report_blob(rep2) == _report_blob(rep0)
 
 

@@ -471,6 +471,18 @@ class TestMalformedNumbers:
             (["--workload", "cc", "--backend", "mta-engine", "--n", "64",
               "--opt", "engine_kwargs=lookahead"],
              "option 'engine_kwargs' must be a mapping"),
+            # negative graph sizes used to reach numpy and exit 1
+            (["--workload", "cc", "--backend", "smp-model", "--n", "16",
+              "--param", "m=-3"],
+             "m must be >= 0, got -3"),
+            (["--workload", "cc", "--backend", "smp-model", "--n", "-4"],
+             "n must be >= 0, got -4"),
+            (["--workload", "cc", "--backend", "smp-model", "--param", "graph=rmat",
+              "--param", "scale=4", "--param", "edge_factor=-2"],
+             "edge_factor must be >= 1, got -2"),
+            (["--workload", "cc", "--backend", "smp-model", "--param", "graph=rmat",
+              "--param", "scale=4", "--param", "edge_factor=0"],
+             "edge_factor must be >= 1, got 0"),
         ],
     )
     def test_exit_2_with_an_error_line(self, flags, message, capsys):

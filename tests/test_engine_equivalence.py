@@ -7,7 +7,10 @@ and the engine's full contention ``detail`` dict — is compared **byte
 for byte** against a golden JSON snapshot under ``tests/golden/``.  A
 second set of snapshots pins the Chrome-trace export of phase-level
 traced runs, so the tracer integration (span boundaries, timeline
-offsets, process naming) is covered too.
+offsets, process naming) is covered too.  Each snapshot is checked
+twice: with the programs as written, and with every plain op they yield
+delivered to the kernel as a one-op ``VR`` run block — the run-block
+macro must leave every byte of output unchanged.
 
 The snapshots were generated from the pre-kernel engines (the
 hand-rolled ``SMPEngine`` / ``MTAEngine`` interpreter loops), so any
@@ -24,7 +27,6 @@ then review the diff like any other code change.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -33,7 +35,10 @@ import pytest
 
 from repro.backends import create
 from repro.obs import Tracer, chrome_trace_json
+from repro.sim.kernel import SimKernel
 from repro.workloads import paper_programs
+
+from .test_sim_fuzz import as_run_blocks
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -67,20 +72,33 @@ def _check_bytes(name: str, text: str, *, regen_write: bool = True) -> None:
     )
 
 
-@pytest.mark.parametrize("tier", [None, "vector"])
+def _deliver_as_run_blocks(monkeypatch):
+    """Make every kernel wrap its programs in :func:`as_run_blocks`."""
+    add_thread = SimKernel.add_thread
+
+    def wrapped(self, gen, proc=None):
+        return add_thread(self, as_run_blocks(gen), proc)
+
+    monkeypatch.setattr(SimKernel, "add_thread", wrapped)
+
+
+#: The second row of each golden test runs the programs with every
+#: plain op delivered as a one-op ``VR`` run block; it compares against
+#: the same snapshot and never writes on REGEN.  The id is that of the
+#: execution tier this row took over from.
+_FORMS = [None, "vector"]
+
+
+@pytest.mark.parametrize("tier", _FORMS)
 @pytest.mark.parametrize("slug", sorted(PROGRAMS))
-def test_paper_program_report_golden(slug, tier):
+def test_paper_program_report_golden(slug, tier, monkeypatch):
     """SimReport-derived summaries are byte-identical across the refactor
-    — and across execution tiers: the ``tier="vector"`` runs compare
-    against the *same* golden snapshots as the default-tier runs (which
-    is why they never write on REGEN), so the vectorized fast path is
-    pinned to the interpreted engines' exact output on every paper
-    program."""
+    — and whether or not the programs' ops travel through ``VR`` run
+    blocks (the ``"vector"`` rows), so the run-block macro is pinned to
+    the plain per-op output on every paper program."""
     workload, backend_name = PROGRAMS[slug]
     if tier is not None:
-        workload = dataclasses.replace(
-            workload, options={**workload.options, "tier": tier}
-        )
+        _deliver_as_run_blocks(monkeypatch)
     backend = create(backend_name)
     summary = backend.execute(backend.prepare(workload))
     text = json.dumps(_canon(summary.to_dict()), sort_keys=True, indent=1) + "\n"
@@ -96,20 +114,19 @@ _TRACED = sorted(
 )
 
 
-@pytest.mark.parametrize("tier", [None, "vector"])
+@pytest.mark.parametrize("tier", _FORMS)
 @pytest.mark.parametrize("slug", _TRACED)
-def test_paper_program_chrome_trace_golden(slug, tier):
-    """Phase-level traces are tier-independent too (a phase tracer does
-    not demand per-op fidelity, so the vector tier must reproduce the
-    identical span boundaries)."""
+def test_paper_program_chrome_trace_golden(slug, tier, monkeypatch):
+    """Phase-level traces are identical too when the ops travel through
+    ``VR`` run blocks (same span boundaries, same offsets)."""
     workload, backend_name = PROGRAMS[slug]
     tracer = Tracer(level="phase")
     opt = workload.options
     data = create(backend_name).prepare(workload).data
+    if tier is not None:
+        _deliver_as_run_blocks(monkeypatch)
     if backend_name == "mta-engine":
         kw = {"streams_per_proc": int(opt.get("streams_per_proc", 100))}
-        if tier is not None:
-            kw["engine_kwargs"] = {"tier": tier}
         if workload.kind == "rank":
             from repro.lists.programs import simulate_mta_list_ranking
 
@@ -119,15 +136,14 @@ def test_paper_program_chrome_trace_golden(slug, tier):
 
             simulate_mta_cc(data, p=workload.p, tracer=tracer, **kw)
     else:
-        kw = {} if tier is None else {"tier": tier}
         if workload.kind == "rank":
             from repro.lists.programs import simulate_smp_list_ranking
 
             simulate_smp_list_ranking(data, p=workload.p, rng=workload.seed,
-                                      tracer=tracer, **kw)
+                                      tracer=tracer)
         else:
             from repro.graphs.programs import simulate_smp_cc
 
-            simulate_smp_cc(data, p=workload.p, tracer=tracer, **kw)
+            simulate_smp_cc(data, p=workload.p, tracer=tracer)
     _check_bytes(f"equiv_trace_{slug}.json", chrome_trace_json(tracer.events) + "\n",
                  regen_write=tier is None)

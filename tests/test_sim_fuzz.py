@@ -5,14 +5,16 @@ barriers, producers matched to consumers) and checks the engines'
 global invariants: termination, exact instruction accounting,
 utilization bounds, and conservation of fetch-add increments.
 
-The second half is the **differential tier fuzzer**: the same random
+The second half is the **differential form fuzzer**: the same random
 programs (sync-word producer/consumer patterns, barriers, phase
 markers, ``run_block`` chains, varying stream counts and machine
-parameters) run on the interpreted *and* the vectorized tier of both
-machines, and the resulting :class:`~repro.sim.SimReport` must be
-byte-identical — cycles, per-processor issue counts, op histograms,
-phase slices, barrier statistics, contention detail.  A failure prints
-the seed and a one-line repro command; replay a single seed with::
+parameters) run on both machines twice — once with their straight-line
+runs delivered as ``VR`` run blocks and once with every block expanded
+into single yields — and the resulting :class:`~repro.sim.SimReport`
+must be byte-identical: cycles, per-processor issue counts, op
+histograms, phase slices, barrier statistics, contention detail.  That
+is what makes ``run_block`` a zero-cost macro.  A failure prints the
+seed and a one-line repro command; replay a single seed with::
 
     REPRO_FUZZ_SEED=<seed> PYTHONPATH=src python -m pytest \
         tests/test_sim_fuzz.py -k differential
@@ -131,7 +133,7 @@ def test_full_empty_pairs_always_complete(n_pairs, seed):
 
 
 # ---------------------------------------------------------------------------
-# Differential tier fuzzing: vector tier ≡ interpreted tier, byte for byte
+# Differential form fuzzing: VR run blocks ≡ the same ops yielded singly
 # ---------------------------------------------------------------------------
 
 #: Seeds per machine (the acceptance floor is 200); ``REPRO_FUZZ_SEED``
@@ -175,9 +177,9 @@ def _report_blob(report) -> str:
 def _fuzz_programs(rng):
     """A random matched set of stream programs, as op-list data.
 
-    Mixes every construct the tiers must agree on: plain ops, fetch-adds,
-    phase markers, ``run_block`` chains (biased toward pure dependent-load
-    blocks — the vector tier's window food), one all-streams barrier, and
+    Mixes every construct the two program forms must agree on: plain
+    ops, fetch-adds, phase markers, ``run_block`` chains (half of them
+    pure dependent-load chains), one all-streams barrier, and
     matched sync-store/consume pairs (MTA only; the caller skips them on
     the SMP, whose machine has no full/empty handlers).
     """
@@ -203,7 +205,7 @@ def _fuzz_programs(rng):
                 ops.append(isa.phase(f"ph{int(rng.integers(0, 3))}"))
             else:
                 if rng.integers(0, 2):
-                    # pure dependent-load chain: the LD-window regime
+                    # pure dependent-load chain (a list walk)
                     blk = [isa.load_dep(int(a))
                            for a in rng.integers(0, 200, int(rng.integers(1, 40)))]
                 else:
@@ -240,16 +242,49 @@ def _gen_of(ops):
     return g()
 
 
-def _run_fuzz_mta(tier: str, seed: int):
+def flat_ops(ops):
+    """``ops`` with every ``VR`` run block expanded into its plain ops."""
+    out = []
+    for op in ops:
+        if op[0] == isa.RUN_BLOCK:
+            out.extend(op[1].ops)
+        else:
+            out.append(op)
+    return out
+
+
+_PLAIN_TAGS = frozenset((isa.COMPUTE, isa.LOAD, isa.LOAD_DEP, isa.STORE))
+
+
+def as_run_blocks(gen):
+    """Deliver every plain op ``gen`` yields as a one-op ``VR`` run block.
+
+    Nothing is pulled ahead — each block holds exactly the op the
+    program just yielded — so the program's Python side runs at the same
+    simulated moments; only the kernel path each op takes changes.
+    """
+    sent = None
+    while True:
+        try:
+            op = gen.send(sent)
+        except StopIteration:
+            return
+        if op[0] in _PLAIN_TAGS:
+            op = isa.run_block((op,))
+        sent = yield op
+
+
+def _run_fuzz_mta(seed: int, flat: bool = False):
     rng = np.random.default_rng(seed)
     progs, with_barrier, pairs = _fuzz_programs(rng)
+    if flat:
+        progs = [flat_ops(ops) for ops in progs]
     eng = MTAEngine(
         p=int(rng.integers(1, 4)),
         streams_per_proc=16,
         mem_latency=int(rng.integers(1, 30)),
         lookahead=int(rng.integers(0, 4)),
         max_outstanding=int(rng.integers(1, 5)),
-        tier=tier,
     )
     for addr in range(8):
         eng.set_counter(addr, 0)
@@ -271,13 +306,15 @@ def _run_fuzz_mta(tier: str, seed: int):
         eng.spawn(producer(addr, value, d1))
         eng.spawn(consumer(addr, d2))
     report = eng.run("fuzz", 10_000_000)
-    return _report_blob(report), eng.kernel.window_stats["windows"]
+    return _report_blob(report)
 
 
-def _run_fuzz_smp(tier: str, seed: int):
+def _run_fuzz_smp(seed: int, flat: bool = False):
     rng = np.random.default_rng(seed)
     progs, with_barrier, _pairs = _fuzz_programs(rng)
-    eng = SMPEngine(p=len(progs), tier=tier)
+    if flat:
+        progs = [flat_ops(ops) for ops in progs]
+    eng = SMPEngine(p=len(progs))
     for addr in range(8):
         eng.set_counter(addr, 0)
     if with_barrier:
@@ -285,7 +322,7 @@ def _run_fuzz_smp(tier: str, seed: int):
     for ops in progs:
         eng.attach(_gen_of(ops))
     report = eng.run("fuzz")
-    return _report_blob(report), 0
+    return _report_blob(report)
 
 
 _RUNNERS = {"mta": _run_fuzz_mta, "smp": _run_fuzz_smp}
@@ -299,16 +336,19 @@ else:
 @pytest.mark.parametrize("machine", sorted(_RUNNERS))
 @pytest.mark.parametrize("seed_block", _SEED_BLOCKS)
 def test_differential_tiers_byte_identical(machine, seed_block):
-    """Random programs produce byte-identical SimReports on both tiers."""
+    """Random programs produce byte-identical SimReports whether their
+    straight-line runs arrive as ``VR`` run blocks or op by op.  (The
+    name predates the single execution path; the two forms compared
+    here took over from the two execution tiers.)"""
     runner = _RUNNERS[machine]
     seeds = [seed_block] if _REPLAY is not None else range(
         seed_block, seed_block + _BLOCK
     )
     for seed in seeds:
-        interp, _ = runner("interpreted", seed)
-        vector, _ = runner("vector", seed)
-        assert interp == vector, (
-            f"{machine} tier divergence at seed {seed}; replay with:\n"
+        blocks = runner(seed)
+        flat = runner(seed, flat=True)
+        assert blocks == flat, (
+            f"{machine} block/flat divergence at seed {seed}; replay with:\n"
             f"  REPRO_FUZZ_SEED={seed} PYTHONPATH=src python -m pytest "
             f"tests/test_sim_fuzz.py -k 'differential and {machine}'"
         )
@@ -486,29 +526,37 @@ def test_shard_fuzz_cross_traffic_worker_invariant(seed):
 
 
 def test_differential_fuzz_exercises_ld_windows():
-    """The fuzz corpus actually drives the MTA fast-forward (a corpus
-    whose windows never fire would vacuously pass the differential
-    check), and a hand-built pure-LD walk both fires windows and stays
-    byte-identical."""
-    windows = 0
+    """The fuzz corpus actually contains pure dependent-load run blocks
+    (without them the block/flat check would never see the list-walk
+    shape), and a hand-built pure-LD walk is byte-identical whether it
+    yields 64-op blocks, single ops, or one-op blocks."""
+    ld_blocks = 0
     for seed in range(40):
-        _, w = _run_fuzz_mta("vector", seed)
-        windows += w
-    assert windows > 0
+        progs, _, _ = _fuzz_programs(np.random.default_rng(seed))
+        ld_blocks += sum(
+            1
+            for ops in progs
+            for op in ops
+            if op[0] == isa.RUN_BLOCK
+            and all(o[0] == isa.LOAD_DEP for o in op[1].ops)
+        )
+    assert ld_blocks > 0
 
-    def walker(base):
-        yield isa.run_block([isa.load_dep(base + 8 * i) for i in range(64)])
-        yield isa.compute(1)
-        yield isa.run_block([isa.load_dep(base + 8 * i) for i in range(32)])
+    def walker(base, blocks):
+        for n in (64, 32):
+            lds = [isa.load_dep(base + 8 * i) for i in range(n)]
+            if blocks:
+                yield isa.run_block(lds)
+            else:
+                yield from lds
+            yield isa.compute(1)
 
-    blobs = {}
-    for tier in ("interpreted", "vector"):
-        eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=15, tier=tier)
+    blobs = []
+    for blocks, wrap in ((True, None), (False, None), (False, as_run_blocks)):
+        eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=15)
         for k in range(16):
-            eng.spawn(walker(k * 4096))
-        report = eng.run("walk")
-        blobs[tier] = _report_blob(report)
-        if tier == "vector":
-            assert eng.kernel.window_stats["windows"] > 0
-            assert eng.kernel.tier_used == "vector"
-    assert blobs["interpreted"] == blobs["vector"]
+            gen = walker(k * 4096, blocks)
+            eng.spawn(wrap(gen) if wrap else gen)
+        blobs.append(_report_blob(eng.run("walk")))
+        assert eng.kernel.window_stats == {"windows": 0, "ops": 0}
+    assert blobs[0] == blobs[1] == blobs[2]

@@ -1,20 +1,20 @@
-"""Tier-selection and fallback-boundary tests for the vectorized fast path.
+"""The kernel's single execution path, at the edges the tier tests guarded.
 
-The contract (``docs/SIMULATION.md``, "Execution tiers"):
+The kernel once chose between an interpreted and a vectorized tier per
+run.  It now has one path, and the tests that pinned the tier boundaries
+pin what replaced them:
 
-* ``tier="auto"`` picks the vector tier only when the machine publishes
-  a :class:`~repro.sim.VectorProfile` **and** nothing demands per-op
-  fidelity (an ``on_op``/``on_op_span``/``on_sync`` subscriber — a
-  concurrency checker, an op-level tracer).
-* An explicit ``tier="vector"`` that conflicts with either requirement
-  raises :class:`~repro.errors.ConfigurationError` — never a silent
-  downgrade.
-* A hook subscribed *mid-run* demotes a running vector-tier simulation
-  to interpreted at the next scheduling boundary, without dropping or
-  duplicating a single cycle or event (the Hypothesis properties below
-  pin this for every :data:`~repro.sim.HOOK_EVENTS` entry).
-* ``repro analyze`` always executes on the interpreted tier, whatever
-  tier the workload requested.
+* asking any engine for a tier is an error, never silently ignored;
+* no machine publishes a vector profile, no backend row lists tiers,
+  and ``window_stats`` (read only by perfbench) stays zero;
+* a ``run_block`` is macro-expanded: an ``on_op`` subscriber sees each
+  op inside it, and synchronizing ops between blocks run per op with
+  results byte-identical to the flat program;
+* a hook subscribed *mid-run* receives events from the next scheduling
+  boundary on, without dropping or duplicating any (the Hypothesis
+  property below covers every :data:`~repro.sim.HOOK_EVENTS` entry);
+* ``repro analyze`` observes every op, whatever tier a stale workload
+  still names.
 """
 
 from __future__ import annotations
@@ -25,76 +25,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ConcurrencyChecker
-from repro.errors import ConfigurationError
 from repro.obs import Tracer
-from repro.sim import HOOK_EVENTS, MTAEngine, SMPEngine, isa
-from repro.sim.kernel import _FIDELITY_EVENTS
+from repro.sim import HOOK_EVENTS, MTAEngine, MTAMachine, SMPEngine, SimKernel, isa
 
-from .test_sim_fuzz import _report_blob
+from .test_sim_fuzz import _report_blob, flat_ops
 
 # ---------------------------------------------------------------------------
-# Static tier resolution
+# The tier knob is gone
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("engine_cls", [MTAEngine, SMPEngine])
 def test_explicit_vector_with_checker_raises(engine_cls):
-    eng = engine_cls(p=1, check=ConcurrencyChecker(), tier="vector")
+    with pytest.raises(TypeError, match="tier"):
+        engine_cls(p=1, check=ConcurrencyChecker(), tier="vector")
+    eng = engine_cls(p=1, check=ConcurrencyChecker())
     attach = eng.spawn if engine_cls is MTAEngine else eng.attach
     attach(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="per-op instrumentation"):
-        eng.run("t")
+    with pytest.raises(TypeError, match="tier"):
+        eng.run("t", tier="vector")
+    with pytest.raises(TypeError, match="tier"):
+        SimKernel(eng.model, tier="vector")
 
 
 def test_explicit_vector_with_op_tracer_raises():
-    eng = MTAEngine(p=1, tracer=Tracer(level="op"), tier="vector")
-    eng.spawn(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="per-op instrumentation"):
-        eng.run("t")
+    with pytest.raises(TypeError, match="tier"):
+        MTAEngine(p=1, tracer=Tracer(level="op"), tier="vector")
 
 
 def test_auto_with_checker_runs_interpreted():
-    eng = MTAEngine(p=1, check=ConcurrencyChecker())
+    """A checked run takes the one per-op path: the checker analyses
+    every op of a run block, and ``window_stats`` — kept only for
+    perfbench's traced mode — reports that nothing was batch-executed."""
+    check = ConcurrencyChecker()
+    eng = MTAEngine(p=1, check=check)
     eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(16)])]))
-    eng.run("t")
-    assert eng.kernel.tier_used == "interpreted"
-    assert eng.kernel.window_stats["windows"] == 0
+    report = eng.run("t")
+    assert report.total_issued == 16
+    summary = check.report().summary_dict()
+    assert summary["errors"] == summary["warnings"] == 0
+    assert summary["stats"]["ops"] == 16
+    assert eng.kernel.window_stats == {"windows": 0, "ops": 0}
 
 
 def test_banked_memory_publishes_no_vector_profile():
-    """With bank modeling on there is no closed-form window; explicit
-    vector refuses, auto interprets.  (This is what keeps the
-    ``mta-next`` machine — ``n_banks=4096`` — interpreted-only.)"""
-    eng = MTAEngine(p=1, n_banks=16, tier="vector")
-    eng.spawn(_gen([isa.compute(1)]))
-    with pytest.raises(ConfigurationError, match="no vector profile"):
-        eng.run("t")
-    eng = MTAEngine(p=1, n_banks=16)
-    eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(16)])]))
-    eng.run("t")
-    assert eng.kernel.tier_used == "interpreted"
+    """No machine declares a vector profile, banked or not, and a run
+    block on banked memory simulates exactly like its flat form."""
+    for model in (MTAMachine(1, n_banks=16), MTAMachine(1), SMPEngine(p=1).model):
+        assert not hasattr(model, "vector_profile")
+    walk = [isa.run_block([isa.load_dep(8 * i) for i in range(16)])]
+    blobs = []
+    for ops in (walk, flat_ops(walk)):
+        eng = MTAEngine(p=1, n_banks=16)
+        eng.spawn(_gen(ops))
+        blobs.append(_report_blob(eng.run("t")))
+    assert blobs[0] == blobs[1]
 
 
 def test_mta_next_backend_is_interpreted_only():
+    """Every backend runs the one path, so no row advertises tiers."""
     from repro.backends import describe
 
-    rows = {r["name"]: r for r in describe()}
-    assert rows["mta-next-engine"]["tiers"] == ["interpreted"]
-    assert rows["mta-engine"]["tiers"] == ["interpreted", "vector"]
-    assert rows["smp-engine"]["tiers"] == ["interpreted", "vector"]
-
-
-def test_phase_level_tracer_keeps_vector_tier():
-    eng = MTAEngine(p=1, tracer=Tracer(level="phase"), tier="vector")
-    for _ in range(4):
-        eng.spawn(_gen([isa.run_block([isa.load_dep(8 * i) for i in range(64)])]))
-    eng.run("t")
-    assert eng.kernel.tier_used == "vector"
-    assert eng.kernel.window_stats["windows"] > 0
+    rows = describe()
+    assert {"mta-engine", "smp-engine", "mta-next-engine"} <= {r["name"] for r in rows}
+    assert all("tiers" not in r for r in rows)
 
 
 # ---------------------------------------------------------------------------
-# Mid-run subscription: demote without dropping or duplicating anything
+# Mid-run subscription: events from the next boundary, none dropped or doubled
 # ---------------------------------------------------------------------------
 
 
@@ -147,7 +145,7 @@ class _SubscribeOnTrigger:
 
 def _mk_programs(seed):
     """Stream programs with a ``trigger`` phase early and, after it, at
-    least one of everything an event could observe: plain ops, LD-window
+    least one of everything an event could observe: plain ops, LD run
     blocks, fetch-adds, a matched sync pair, phases, and a barrier."""
     rng = np.random.default_rng(seed)
 
@@ -180,101 +178,105 @@ def _mk_programs(seed):
     return progs
 
 
-def _run_with_midrun_probe(tier, event, seed):
-    progs = _mk_programs(seed)
+def _run_programs(progs, hooks=()):
+    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, hooks=hooks)
+    eng.set_counter(0, 0)
+    eng.register_barrier("z", len(progs))
+    for ops in progs:
+        eng.spawn(_gen(ops))
+    return eng, _report_blob(eng.run("t", 5_000_000))
+
+
+def _run_with_midrun_probe(progs, event):
     log = []
     trigger = _SubscribeOnTrigger(_probe(event, log))
-    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, tier=tier,
-                    hooks=(trigger,))
+    eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, hooks=(trigger,))
     trigger.hook_bus(eng.kernel.bus)
     eng.set_counter(0, 0)
     eng.register_barrier("z", len(progs))
     for ops in progs:
         eng.spawn(_gen(ops))
-    report = eng.run("t", 5_000_000)
-    return _report_blob(report), log, eng.kernel
+    return _report_blob(eng.run("t", 5_000_000)), log
 
 
 @settings(max_examples=60, deadline=None)
 @given(event=st.sampled_from(HOOK_EVENTS),
        seed=st.integers(min_value=0, max_value=2**31))
 def test_midrun_subscription_transitions_exactly(event, seed):
-    """Subscribing any bus event mid-run: the vector tier demotes iff the
-    event demands per-op fidelity, and the late subscriber sees the
-    *identical* event sequence either way — nothing dropped, nothing
-    duplicated, and the SimReport stays byte-identical."""
-    blob_i, log_i, _ = _run_with_midrun_probe("interpreted", event, seed)
-    blob_v, log_v, kernel = _run_with_midrun_probe("vector", event, seed)
-    assert blob_i == blob_v
-    assert log_i == log_v
-    assert kernel.tier_used == "vector"
-    assert kernel.tier_demoted == (event in _FIDELITY_EVENTS)
+    """Subscribing any bus event mid-run: the late subscriber sees
+    exactly the tail of what a subscriber attached from the start sees —
+    nothing dropped, nothing duplicated — the SimReport is unchanged,
+    and all of it holds identically when the run blocks are flattened."""
+    progs = _mk_programs(seed)
+    blob_ref = _run_programs(progs)[1]
+    late_logs = []
+    for form in (progs, [flat_ops(ops) for ops in progs]):
+        blob, late = _run_with_midrun_probe(form, event)
+        full = []
+        _run_programs(form, hooks=(_probe(event, full),))
+        assert blob == blob_ref
+        assert late == full[len(full) - len(late):]
+        late_logs.append(late)
+    assert late_logs[0] == late_logs[1]
     if event == "on_op":
         # the lead stream still has ops in flight at the trigger, so a
-        # demotion that dropped or replayed ops could not match
-        assert log_v, "probe subscribed but observed no ops"
+        # boundary that dropped or replayed ops could not match
+        assert late_logs[0], "probe subscribed but observed no ops"
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_nonvectorizable_ops_fall_back_per_op(seed):
-    """FA, sync words, barriers, and phases interleaved with LD blocks:
-    the fast tier executes those per-op (windows end at the boundary)
-    with byte-identical results, and never demotes — fallback is a
-    window boundary, not a tier change."""
+    """FA, sync words, barriers, and phases interleaved with LD run
+    blocks execute per op between the blocks, with results
+    byte-identical to the same programs with every block flattened."""
     progs = _mk_programs(seed)
-    blobs = {}
-    for tier in ("interpreted", "vector"):
-        eng = MTAEngine(p=2, streams_per_proc=8, mem_latency=12, tier=tier)
-        eng.set_counter(0, 0)
-        eng.register_barrier("z", len(progs))
-        for ops in progs:
-            eng.spawn(_gen(ops))
-        blobs[tier] = _report_blob(eng.run("t", 5_000_000))
-        if tier == "vector":
-            assert eng.kernel.tier_used == "vector"
-            assert not eng.kernel.tier_demoted
-    assert blobs["interpreted"] == blobs["vector"]
+    _, blocks = _run_programs(progs)
+    _, flat = _run_programs([flat_ops(ops) for ops in progs])
+    assert blocks == flat
 
 
 def test_run_block_expansion_visible_per_op():
-    """A ``run_block`` is macro-expanded on the interpreted tier: an
-    ``on_op`` subscriber (what a checker attaches) sees every op inside
-    the block individually, in program order."""
+    """A ``run_block`` is macro-expanded: an ``on_op`` subscriber (what a
+    checker attaches) sees every op inside the block individually, in
+    program order."""
     seen = []
     probe = _probe("on_op", seen)
     block = [isa.load_dep(8 * i) for i in range(10)] + [isa.compute(2)]
     eng = MTAEngine(p=1, check=ConcurrencyChecker(), hooks=(probe,))
     eng.spawn(_gen([isa.run_block(block), isa.store(4)]))
     eng.run("t")
-    assert eng.kernel.tier_used == "interpreted"
     ops = [args[1] for _event, args in seen]
     assert ops == [_canon_arg(op) for op in block + [isa.store(4)]]
 
 
 # ---------------------------------------------------------------------------
-# ``repro analyze`` regression: analysis always interprets
+# ``repro analyze``: analysis observes every op
 # ---------------------------------------------------------------------------
 
 
 def test_analyze_forces_interpreted_tier(monkeypatch):
     """``repro analyze`` (the ``analyze_workload`` driver behind both
-    ``--workload`` and ``--all``) runs the interpreted tier even when
-    the workload explicitly requests the vector tier."""
+    ``--workload`` and ``--all``) runs every kernel with a per-op
+    subscriber attached, even for a workload that still names the
+    removed vector tier; the stale option changes nothing."""
     from repro.analysis import analyze_workload
     from repro.backends import Workload
-    from repro.sim.kernel import SimKernel
 
-    used = []
+    subscribed = []
     orig = SimKernel.run
 
     def spy(self, *args, **kwargs):
-        result = orig(self, *args, **kwargs)
-        used.append(self.tier_used)
-        return result
+        subscribed.append(self.bus.listeners("on_op") is not None)
+        return orig(self, *args, **kwargs)
 
     monkeypatch.setattr(SimKernel, "run", spy)
-    workload = Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"})
-    report = analyze_workload(workload, "mta-engine")
-    assert used and all(t == "interpreted" for t in used)
-    assert report is not None
+    stale = analyze_workload(
+        Workload("rank", 2, 0, {"n": 200}, {"tier": "vector"}), "mta-engine"
+    )
+    assert subscribed and all(subscribed)
+    plain = analyze_workload(Workload("rank", 2, 0, {"n": 200}), "mta-engine")
+    stale, plain = stale.summary_dict(), plain.summary_dict()
+    assert stale["stats"].pop("workload")["options"] == {"tier": "vector"}
+    assert plain["stats"].pop("workload")["options"] == {}
+    assert stale == plain

@@ -4,7 +4,8 @@ Three invariants:
 
 * determinism — one committed golden (``tests/golden/xval_cc.jsonl``)
   byte-matches the CLI's default run, and a report is byte-identical
-  across sweep worker counts, execution tiers, and cache round-trips;
+  across sweep worker counts, ``VR`` run-block delivery, and cache
+  round-trips;
 * separation — the branch-aware SMP model and the SMP engine both
   charge the branch-avoiding CC variant strictly less branch cost than
   the branchy one, and agree on the sign of the gap;
@@ -15,6 +16,7 @@ Three invariants:
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -67,14 +69,21 @@ class TestDeterminism:
             rb = DivergenceReport.from_dict(b.detail["xval"])
             assert ra.jsonl() == rb.jsonl()
 
-    def test_identical_across_execution_tiers(self):
-        texts = {}
-        for tier in ("interpreted", "vector"):
-            report, _ = run_xval(
-                _workload(n=96, m=192, options={"tier": tier})
-            )
-            texts[tier] = report.jsonl()
-        assert texts["interpreted"] == texts["vector"]
+    def test_identical_across_execution_tiers(self, monkeypatch):
+        """The engine side of the report is unchanged when every plain op
+        reaches the kernel as a one-op ``VR`` run block (the form that
+        took over from the removed vector tier)."""
+        from repro.sim.kernel import SimKernel
+
+        from .test_sim_fuzz import as_run_blocks
+
+        plain = run_xval(_workload(n=96, m=192))[0].jsonl()
+        add_thread = SimKernel.add_thread
+        monkeypatch.setattr(
+            SimKernel, "add_thread",
+            lambda self, gen, proc=None: add_thread(self, as_run_blocks(gen), proc),
+        )
+        assert run_xval(_workload(n=96, m=192))[0].jsonl() == plain
 
     def test_identical_through_the_result_cache(self, tmp_path):
         cache = SweepCache(tmp_path / "cache")
@@ -180,3 +189,24 @@ class TestStructuredErrors:
     def test_unknown_machine_is_rejected(self):
         with pytest.raises(ConfigurationError, match="no analytic counterpart"):
             run_xval(_workload(options={"machine": "cray-3"}))
+
+    @pytest.mark.parametrize("machine, options, message", [
+        ("mta", {"edges_per_chunk": 0}, "edges_per_chunk must be >= 1, got 0"),
+        ("mta", {"streams_per_proc": 0}, "streams_per_proc must be >= 1, got 0"),
+        ("mta", {"streams_per_proc": "x"}, "option 'streams_per_proc' must be an integer"),
+        ("mta", {"max_iter": 1.5}, "option 'max_iter' must be an integer, got 1.5"),
+        ("smp", {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ("mta", {"penalty": "abc"}, "option 'penalty' must be a number, got 'abc'"),
+        ("smp", {"penalty": "abc"}, "option 'penalty' must be a number, got 'abc'"),
+        ("smp", {"penalty": "nan"}, "option 'penalty' must be a number, got 'nan'"),
+    ])
+    def test_malformed_options_are_configuration_errors(self, machine, options, message):
+        """Bad knobs fail before either stack runs, naming the key —
+        never a ZeroDivisionError, a bare ValueError, or a silently
+        truncated value."""
+        from repro.backends import create
+
+        variant = "branchy" if machine == "smp" else None
+        w = _workload(n=32, m=64, options=dict(options, machine=machine, variant=variant))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            create("cost-xval").run(w)
