@@ -47,8 +47,12 @@ class Allocation:
         """Word address of element ``index`` (scalar or NumPy array).
 
         Bounds are checked for scalars; array indexing is used on hot
-        paths and validated once by the caller instead.
+        paths and validated once by the caller instead.  An in-range
+        plain ``int`` (the engine programs' case) returns before the
+        generic scalar test; an out-of-range one falls through to it.
         """
+        if type(index) is int and 0 <= index < self.length:
+            return self.base + index
         if np.isscalar(index):
             if not 0 <= index < self.length:
                 raise IndexError(

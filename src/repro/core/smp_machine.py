@@ -186,17 +186,14 @@ class SMPMachine(MachineModel):
         lines one step leaves in L2 (e.g. Helman–JáJá's step-1 stream of
         the successor array) serve the next step's accesses.  Trace-mode
         simulation therefore keeps one persistent hierarchy per
-        processor for the whole run; :meth:`step_time` called standalone
-        still assumes cold caches.
+        processor for the whole run, built by the first step that
+        carries traces (a run without traces builds none);
+        :meth:`step_time` called standalone still assumes cold caches.
         """
         from .machine import MachineResult
 
-        cache_state = (
-            [CacheHierarchy(self.config.l1, self.config.l2) for _ in range(self.p)]
-            if self.use_traces
-            else None
-        )
-        timed = [self.step_time(s, _cache_state=cache_state) for s in steps]
+        hierarchies: list[CacheHierarchy] = []
+        timed = [self.step_time(s, _cache_state=hierarchies) for s in steps]
         result = MachineResult(
             machine=self.name, p=self.p, clock_hz=self.clock_hz, steps=timed
         )
@@ -218,13 +215,11 @@ class SMPMachine(MachineModel):
         if self.use_traces and step.traces is not None:
             mem = np.zeros(self.p)
             mem_words_from_dram = 0.0
+            hierarchies = [] if _cache_state is None else _cache_state
+            if not hierarchies:
+                hierarchies.extend(CacheHierarchy(c.l1, c.l2) for _ in range(self.p))
             for i, trace in enumerate(step.traces):
-                hier = (
-                    _cache_state[i]
-                    if _cache_state is not None
-                    else CacheHierarchy(c.l1, c.l2)
-                )
-                s1, s2 = hier.simulate_stream(trace)
+                s1, s2 = hierarchies[i].simulate_stream(trace)
                 mem[i] = (
                     s1.hits * c.l1_hit_cycles
                     + s2.hits * c.l2_hit_cycles

@@ -137,6 +137,8 @@ def _as_int(value, op: str, operand: str) -> int:
     rejected even though it subclasses ``int``, because a bool operand
     is always a bug in a program generator.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise TypeError(f"{op} {operand} must be an int, got bool")
     try:

@@ -1,5 +1,7 @@
 """Tests for the cache simulators (repro.arch.cache)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.arch.cache import (
     hierarchy_stats,
     simulate_direct_mapped,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 L1 = CacheConfig(size_words=64, line_words=4)  # 16 lines, direct-mapped
 L2 = CacheConfig(size_words=256, line_words=8)
@@ -148,7 +150,9 @@ class TestHierarchy:
         h = CacheHierarchy(L1, L2)
         assert h.access(0) == "mem"
         assert h.access(1) == "l1"
-        h._l1_cache.flush()
+        # 64 maps to line 0's L1 set but to another L2 set: it evicts
+        # line 0 from L1 only
+        assert h.access(64) == "mem"
         assert h.access(0) == "l2"
 
     def test_accumulates_across_streams(self, rng):
@@ -156,3 +160,97 @@ class TestHierarchy:
         h.simulate_stream(rng.integers(0, 512, 100).astype(np.int64))
         h.simulate_stream(rng.integers(0, 512, 100).astype(np.int64))
         assert h.l1_stats.accesses == 200
+
+
+_GEOMETRIES = {
+    "direct-mapped": (L1, L2),
+    "2-way": (
+        CacheConfig(size_words=64, line_words=4, associativity=2),
+        CacheConfig(size_words=256, line_words=8, associativity=2),
+    ),
+    "mixed": (L1, CacheConfig(size_words=256, line_words=8, associativity=2)),
+    "one-set L1": (CacheConfig(size_words=4, line_words=4), L2),
+}
+
+# negative addresses included: an empty set must not match any line
+_addr = st.integers(min_value=-80, max_value=1023)
+_step = st.one_of(
+    st.tuples(st.just("access"), _addr),
+    st.tuples(st.just("stream"), st.lists(_addr, max_size=40)),
+    st.tuples(st.just("roundtrip"), st.none()),
+)
+
+
+class TestOneWarmState:
+    """``access`` and ``simulate_stream`` share one warm state per level."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_GEOMETRIES)), st.lists(_step, max_size=30))
+    def test_interleaved_paths_match_reference_lru(self, geometry, steps):
+        l1, l2 = _GEOMETRIES[geometry]
+        h = CacheHierarchy(l1, l2)
+        ref1, ref2 = Cache(l1), Cache(l2)
+
+        def ref_access(a):
+            if ref1.access(a):
+                return "l1"
+            return "l2" if ref2.access(a) else "mem"
+
+        for kind, arg in steps:
+            if kind == "access":
+                assert h.access(arg) == ref_access(arg)
+            elif kind == "stream":
+                before = (ref1.stats.hits, ref2.stats.accesses, ref2.stats.hits)
+                for a in arg:
+                    ref_access(a)
+                s1, s2 = h.simulate_stream(np.array(arg, dtype=np.int64))
+                assert (s1.accesses, s1.hits) == (len(arg), ref1.stats.hits - before[0])
+                assert (s2.accesses, s2.hits) == (
+                    ref2.stats.accesses - before[1],
+                    ref2.stats.hits - before[2],
+                )
+            else:
+                h = CacheHierarchy.from_state(pickle.loads(pickle.dumps(h.to_state())))
+            assert (h.l1_stats.accesses, h.l1_stats.hits) == (
+                ref1.stats.accesses,
+                ref1.stats.hits,
+            )
+            assert (h.l2_stats.accesses, h.l2_stats.hits) == (
+                ref2.stats.accesses,
+                ref2.stats.hits,
+            )
+
+    def test_stream_lines_serve_later_accesses(self):
+        h = CacheHierarchy(L1, L2)
+        h.simulate_stream(np.array([0, 64], dtype=np.int64))
+        assert h.access(64) == "l1"
+        assert h.access(0) == "l2"
+        s1, _ = h.simulate_stream(np.array([0], dtype=np.int64))
+        assert s1.hits == 1
+
+    def test_flush_empties_both_levels(self):
+        for l1, l2 in _GEOMETRIES.values():
+            h = CacheHierarchy(l1, l2)
+            h.access(0)
+            h.flush()
+            assert h.access(0) == "mem"
+            assert h.l1_stats.accesses == 2
+
+
+class TestHierarchyState:
+    def test_version_1_state_rejected(self):
+        state = CacheHierarchy(L1, L2).to_state()
+        state["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
+            CacheHierarchy.from_state(state)
+
+    def test_state_geometry_mismatch_rejected(self):
+        state = CacheHierarchy(L1, L2).to_state()
+        state["l1_tags"] = state["l1_tags"][:-1]
+        with pytest.raises(CheckpointError, match="tags"):
+            CacheHierarchy.from_state(state)
+        lru = _GEOMETRIES["2-way"]
+        state = CacheHierarchy(*lru).to_state()
+        state["l2_sets"] = None
+        with pytest.raises(CheckpointError, match="sets"):
+            CacheHierarchy.from_state(state)

@@ -79,3 +79,38 @@ class TestAccepted:
 
     def test_compute_default(self):
         assert isa.compute() == ("C", 1)
+
+
+#: Every integer operand of the op vocabulary: (label, builder taking the
+#: operand under test, error prefix).  Other operands are fixed valid ints.
+_INT_OPERANDS = [
+    ("C k", lambda v: isa.compute(v)),
+    ("L addr", lambda v: isa.load(v)),
+    ("LD addr", lambda v: isa.load_dep(v)),
+    ("S addr", lambda v: isa.store(v)),
+    ("FA addr", lambda v: isa.fetch_add(v, 1)),
+    ("FA inc", lambda v: isa.fetch_add(8, v)),
+    ("SLE addr", lambda v: isa.sync_load_consume(v)),
+    ("SLF addr", lambda v: isa.sync_load_peek(v)),
+    ("SSF addr", lambda v: isa.sync_store(v, 0)),
+    ("GV addr", lambda v: isa.get_value(v)),
+    ("PV addr", lambda v: isa.put_value(v, 0)),
+]
+
+
+class TestEveryIntOperand:
+    """The exact-``int`` early return must not widen what is accepted."""
+
+    @pytest.mark.parametrize("label,build", _INT_OPERANDS, ids=[o[0] for o in _INT_OPERANDS])
+    @pytest.mark.parametrize(
+        "bad,kind", [(True, "bool"), (False, "bool"), (3.0, "float"), ("3", "str")]
+    )
+    def test_rejects_bool_float_str(self, label, build, bad, kind):
+        with pytest.raises(TypeError, match=f"{label} must be an int, got {kind}"):
+            build(bad)
+
+    @pytest.mark.parametrize("label,build", _INT_OPERANDS, ids=[o[0] for o in _INT_OPERANDS])
+    def test_accepts_int_and_np_int64(self, label, build):
+        op = build(np.int64(12))
+        assert op == build(12)
+        assert [type(x) for x in op] == [type(x) for x in build(12)]

@@ -33,6 +33,26 @@ class TestAddressSpace:
         with pytest.raises(IndexError):
             a.addr(-1)
 
+    @pytest.mark.parametrize("index", [10, 11, -1, -10, np.int64(10), np.int64(-1)])
+    def test_addr_out_of_range_int_and_np_int64(self, index):
+        a = AddressSpace().alloc("a", 10)
+        with pytest.raises(IndexError, match="out of bounds for allocation 'a'"):
+            a.addr(index)
+
+    def test_addr_in_range_int_and_np_int64_agree(self):
+        sp = AddressSpace()
+        sp.alloc("pad", 5)
+        a = sp.alloc("a", 10)
+        for i in range(10):
+            assert a.addr(i) == a.addr(np.int64(i)) == a.base + i
+            assert type(a.addr(i)) is int and type(a.addr(np.int64(i))) is int
+
+    def test_addr_arrays_keep_vector_path(self):
+        a = AddressSpace().alloc("a", 10)
+        out = a.addr([1, 2])
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+        assert a.addr(np.arange(3)).tolist() == [a.base, a.base + 1, a.base + 2]
+
     def test_duplicate_name_rejected(self):
         sp = AddressSpace()
         sp.alloc("a", 1)

@@ -122,3 +122,28 @@ class TestSMPTraceMode:
         t_seq = m.step_time(step(traces=[seq]))
         t_rand = m.step_time(step(traces=[rand]))
         assert t_rand.cycles > 2.0 * t_seq.cycles
+
+    def test_run_builds_hierarchies_only_for_traced_steps(self, monkeypatch):
+        from repro.core import smp_machine
+
+        built = []
+        real = smp_machine.CacheHierarchy
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(smp_machine, "CacheHierarchy", counting)
+        m = SMPMachine(p=2)
+        m.run([step(p=2, noncontig=10.0), step(p=2, contig=5.0)])
+        assert built == []
+        trace = np.arange(64, dtype=np.int64)
+        m.run([step(p=2, noncontig=1.0), step(p=2, traces=[trace, trace]),
+               step(p=2, traces=[trace, trace])])
+        assert len(built) == 2  # one per processor, kept warm across steps
+
+    def test_run_carries_warm_lines_across_traced_steps(self):
+        m = SMPMachine(p=1)
+        trace = np.arange(256, dtype=np.int64)
+        cold, warm = m.run([step(traces=[trace]), step(traces=[trace])]).steps
+        assert warm.cycles < cold.cycles
